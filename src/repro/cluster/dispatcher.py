@@ -45,14 +45,13 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.cluster.messages import (
-    BatchShardRequest,
     DeltaShardReply,
     DeltaShardRequest,
     Heartbeat,
@@ -100,8 +99,6 @@ _CLUSTER_COUNTERS = (
     "workers_respawned",
     "workers_hung",
     "redispatches",
-    "dispatch_batches_total",
-    "dispatch_requests_batched",
     "stale_replies_ignored",
     "degraded_local",
     "shard_breaker_opened",
@@ -152,22 +149,6 @@ class ClusterConfig:
     #: Size of each shared-memory segment; the store grows by whole
     #: segments when one fills.
     arena_bytes: int = 16 * 1024 * 1024
-    #: Soft budget over *published operand* bytes; publishing past it
-    #: evicts least-recently-used idle structures (ack-gated, see
-    #: ``invalidate``).  None = unbounded.
-    store_bytes: Optional[int] = None
-    #: Seconds a built request may linger in the dispatch buffer waiting
-    #: for same-fingerprint company before it is sent alone.  With
-    #: ``max_batch_rhs > 1`` and a window > 0, a same-structure fan-in
-    #: burst leaves as one :class:`BatchShardRequest` the worker turns
-    #: into a single SpMM; 0 sends every request immediately.
-    batch_window: float = 0.0
-    #: Most requests coalesced into one batched dispatch (and the
-    #: ``max_batch_rhs`` the worker engines are configured with).  The
-    #: default 1 disables dispatch coalescing, mirroring
-    #: :class:`repro.serve.engine.ServeConfig` — multi-RHS stacking
-    #: reassociates float summation, so fan-in workloads opt in.
-    max_batch_rhs: int = 1
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -197,14 +178,6 @@ class ClusterConfig:
         if self.arena_bytes < 4096:
             raise ValueError(
                 f"arena_bytes must be >= 4096, got {self.arena_bytes}"
-            )
-        if self.batch_window < 0.0:
-            raise ValueError(
-                f"batch_window must be >= 0, got {self.batch_window}"
-            )
-        if self.max_batch_rhs < 1:
-            raise ValueError(
-                f"max_batch_rhs must be >= 1, got {self.max_batch_rhs}"
             )
 
 
@@ -366,22 +339,9 @@ class ClusterDispatcher:
             histograms=("dispatch_seconds",),
         )
         # Workers must see the dispatcher's heartbeat cadence, not their
-        # spec default, so staleness detection and emission agree.  When
-        # dispatch coalescing is on, the worker engines must accept at
-        # least as many stacked RHS as one BatchShardRequest carries, or
-        # the batch would be unbundled back into sequential SpMVs.
-        worker_config = worker_spec.config
-        if config.max_batch_rhs > worker_config.max_batch_rhs:
-            worker_config = replace(
-                worker_config, max_batch_rhs=config.max_batch_rhs
-            )
-        self._worker_spec = WorkerSpec(
-            tuner=worker_spec.tuner,
-            config=worker_config,
-            fault_specs=worker_spec.fault_specs,
-            fault_seed=worker_spec.fault_seed,
-            heartbeat_interval=config.heartbeat_interval,
-            crash_after=worker_spec.crash_after,
+        # spec default, so staleness detection and emission agree.
+        self._worker_spec = replace(
+            worker_spec, heartbeat_interval=config.heartbeat_interval
         )
         # spawn, never fork: see repro.serve.metrics on why fork would
         # double-count and repro.cluster.worker on why it would deadlock.
@@ -400,9 +360,8 @@ class ClusterDispatcher:
         self._reply_q = self._ctx.Queue()
         self._lock = threading.RLock()
         self._msg_ids = itertools.count(1)
-        # The plan store: fingerprint -> published handle, in LRU order
-        # (dict preserves insertion; touches re-insert), plus the shard
-        # index re-warms read from.
+        # The plan store: fingerprint -> published handle, plus the
+        # shard index re-warms read from.
         self._published: Dict[Fingerprint, PlanHandle] = {}
         self._shard_plans: Dict[int, Dict[Fingerprint, PlanHandle]] = {
             shard_id: {} for shard_id in self._shards
@@ -417,13 +376,6 @@ class ClusterDispatcher:
         # unlinks the semaphore a just-spawned child may still be
         # unpickling (FileNotFoundError in the child's bootstrap).
         self._retired_queues: List[object] = []
-        # Dispatch coalescing buffers: requests already built (slots
-        # placed, pending registered in ``shard.outstanding``) parked
-        # here by (shard, fingerprint) until the window closes or the
-        # buffer fills.  Repair drains a crashed shard's buffers — its
-        # members are re-dispatched as singles by the outstanding loop.
-        self._batch_buffers: Dict[Tuple[int, Fingerprint], List[_Pending]] = {}
-        self._batch_deadlines: Dict[Tuple[int, Fingerprint], float] = {}
         # In-flight structure-delta migrations awaiting their reply.
         self._delta_waiters: Dict[int, "Future[DeltaShardReply]"] = {}
         self._started = False
@@ -434,7 +386,6 @@ class ClusterDispatcher:
         self._last_pushed_model: Optional[object] = None
         self._collector: Optional[threading.Thread] = None
         self._monitor: Optional[threading.Thread] = None
-        self._flusher: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -452,11 +403,6 @@ class ClusterDispatcher:
             target=self._monitor_loop, name="cluster-monitor", daemon=True
         )
         self._monitor.start()
-        if self.config.max_batch_rhs > 1 and self.config.batch_window > 0.0:
-            self._flusher = threading.Thread(
-                target=self._flusher_loop, name="cluster-flusher", daemon=True
-            )
-            self._flusher.start()
         for shard in self._shards.values():
             self._spawn(shard)
         deadline = time.monotonic() + self.config.spawn_timeout
@@ -502,17 +448,6 @@ class ClusterDispatcher:
                 return
             self._stopping = True
             shards = list(self._shards.values())
-            # Close every open dispatch window first: the request queues
-            # are FIFO, so buffered work lands ahead of the shutdown
-            # message and a draining worker still serves it.
-            flushes = [
-                (self._shards[key[0]], entries)
-                for key, entries in self._batch_buffers.items()
-            ]
-            self._batch_buffers.clear()
-            self._batch_deadlines.clear()
-            for shard, entries in flushes:
-                self._flush_entries(shard, entries)
         for shard in shards:
             if shard.request_q is not None and not shard.dead:
                 try:
@@ -533,8 +468,6 @@ class ClusterDispatcher:
             self._collector.join(5.0)
         if self._monitor is not None:
             self._monitor.join(5.0)
-        if self._flusher is not None:
-            self._flusher.join(5.0)
         with self._lock:
             failures = [
                 pending
@@ -594,9 +527,6 @@ class ClusterDispatcher:
         with self._lock:
             handle = self._published.get(fp)
             if handle is not None:
-                # LRU touch: re-insert at the tail.
-                del self._published[fp]
-                self._published[fp] = handle
                 return handle
         with obs.span(
             "cluster.publish",
@@ -622,41 +552,17 @@ class ClusterDispatcher:
             self.metrics.counter("plans_published").inc()
             self.metrics.gauge("published_plans").set(len(self._published))
             self.metrics.gauge("published_bytes").add(handle.operand_bytes)
-        self._maybe_evict()
         return handle
 
-    def _maybe_evict(self) -> None:
-        """Ask shards to drop LRU idle structures past the byte budget.
-
-        Eviction is *ack-gated*: the dispatcher only frees the arena slots
-        when the owning worker's :class:`InvalidateReply` confirms the
-        plan is gone — and because the request queue is FIFO, every
-        request already queued for that structure is served before the
-        invalidate lands.  Until the ack, the bytes stay accounted.
-        """
-        budget = self.config.store_bytes
-        if budget is None:
-            return
-        with self._lock:
-            total = sum(h.operand_bytes for h in self._published.values())
-            victims: List[PlanHandle] = []
-            inflight = {
-                pending.fingerprint
-                for shard in self._shards.values()
-                for pending in shard.outstanding.values()
-            }
-            for fp, handle in list(self._published.items()):
-                if total <= budget:
-                    break
-                if fp in inflight or len(self._published) <= 1:
-                    continue
-                victims.append(handle)
-                del self._published[fp]
-                total -= handle.operand_bytes
-        for handle in victims:
-            self._send_invalidate(handle)
-
     def _send_invalidate(self, handle: PlanHandle) -> None:
+        """Ask the owning shard to drop ``handle``'s plan; ack-gated.
+
+        The arena slots are freed only when the worker's
+        :class:`InvalidateReply` confirms the plan is gone — and because
+        the request queue is FIFO, every request already queued for that
+        structure is served before the invalidate lands.  Until the ack,
+        the bytes stay accounted.
+        """
         fp = handle.fingerprint
         shard_id = self._ring.route(str(fp.structure_key))
         with self._lock:
@@ -921,16 +827,10 @@ class ClusterDispatcher:
                 shard_id=shard_id,
                 nnz=int(matrix.nnz),
             )
-        batching = (
-            self.config.max_batch_rhs > 1 and self.config.batch_window > 0.0
-        )
         with self._lock:
             pending.expected_generation = shard.generation
             shard.outstanding[msg_id] = pending
             request_q = shard.request_q
-            if batching:
-                self._buffer_for_dispatch(shard, fp, pending)
-                return future
         self._charge_payload(request)
         try:
             request_q.put(request)
@@ -940,84 +840,6 @@ class ClusterDispatcher:
             self._release_slots(pending)
             raise
         return future
-
-    # ------------------------------------------------------------------
-    # Dispatch coalescing
-    # ------------------------------------------------------------------
-    def _buffer_for_dispatch(
-        self, shard: _Shard, fp: Fingerprint, pending: _Pending
-    ) -> None:
-        """Park one built request; flush when full (caller holds the lock).
-
-        The pending is already in ``shard.outstanding``, so crash repair
-        treats buffered and in-flight requests identically — it only has
-        to drop the buffer entry to avoid a double send.
-        """
-        key = (shard.id, fp)
-        entries = self._batch_buffers.setdefault(key, [])
-        entries.append(pending)
-        if len(entries) == 1:
-            self._batch_deadlines[key] = (
-                time.monotonic() + self.config.batch_window
-            )
-        if len(entries) >= self.config.max_batch_rhs:
-            del self._batch_buffers[key]
-            self._batch_deadlines.pop(key, None)
-            self._flush_entries(shard, entries)
-
-    def _flush_entries(
-        self, shard: _Shard, entries: List[_Pending]
-    ) -> None:
-        """Send one buffer as a single or batched message (lock held).
-
-        Members whose generation no longer matches the shard's (a crash
-        happened since buffering) are skipped here — repair already owns
-        them via ``shard.outstanding`` and re-dispatches them itself.
-        """
-        live = [
-            pending
-            for pending in entries
-            if pending.expected_generation == shard.generation
-            and pending.msg_id in shard.outstanding
-        ]
-        if not live or shard.request_q is None:
-            return
-        if len(live) == 1:
-            message: object = live[0].request
-        else:
-            message = BatchShardRequest(
-                requests=tuple(pending.request for pending in live)
-            )
-            self.metrics.counter("dispatch_batches_total").inc()
-            self.metrics.counter("dispatch_requests_batched").inc(len(live))
-        self._charge_payload(message)
-        try:
-            shard.request_q.put(message)
-        except BaseException as exc:  # pragma: no cover - queue torn down
-            for pending in live:
-                shard.outstanding.pop(pending.msg_id, None)
-            for pending in live:
-                self._fail(pending, ServeError(f"dispatch failed: {exc}"))
-
-    def _flusher_loop(self) -> None:
-        """Close dispatch windows: send buffers older than the window."""
-        poll = max(0.001, min(self.config.batch_window / 4.0, 0.01))
-        while True:
-            time.sleep(poll)
-            with self._lock:
-                if self._stopping:
-                    return
-                now = time.monotonic()
-                due = [
-                    key
-                    for key, deadline in self._batch_deadlines.items()
-                    if deadline <= now
-                ]
-                for key in due:
-                    entries = self._batch_buffers.pop(key, [])
-                    self._batch_deadlines.pop(key, None)
-                    if entries:
-                        self._flush_entries(self._shards[key[0]], entries)
 
     def spmv(
         self,
@@ -1315,16 +1137,6 @@ class ClusterDispatcher:
             generation=shard.generation,
             outstanding=len(shard.outstanding),
         ):
-            # Claim this shard's buffered dispatch windows: the members
-            # are in ``shard.outstanding``, so the loops below fail or
-            # re-dispatch them; dropping the buffer entry is what stops
-            # the flusher from sending them a second time.
-            with self._lock:
-                for key in [
-                    k for k in self._batch_buffers if k[0] == shard.id
-                ]:
-                    del self._batch_buffers[key]
-                    self._batch_deadlines.pop(key, None)
             if shard.respawns >= self.config.max_respawns:
                 with self._lock:
                     shard.dead = True

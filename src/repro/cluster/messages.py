@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -58,25 +58,6 @@ class ShardRequest:
     #: Absolute monotonic expiry (CLOCK_MONOTONIC is machine-wide on
     #: Linux, so dispatcher and worker read the same clock); None = none.
     expires_at: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class BatchShardRequest:
-    """A same-fingerprint burst dispatched as one message.
-
-    Every member is a complete :class:`ShardRequest` (own msg_id, own
-    x/y slots, own expiry), so redispatch-after-crash and slot release
-    work per member exactly as for singles; the batching only tells the
-    worker "these arrived together — stack them into one SpMM if you
-    can".  The worker replies per member.  Still descriptor-only: the
-    dense RHS block is assembled worker-side from the shared x slots.
-    """
-
-    requests: Tuple[ShardRequest, ...]
-
-    @property
-    def fingerprint(self) -> Fingerprint:
-        return self.requests[0].plan.fingerprint
 
 
 @dataclass(frozen=True)

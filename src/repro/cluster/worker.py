@@ -35,12 +35,11 @@ import os
 import queue
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.messages import (
-    BatchShardRequest,
     CrashRequest,
     DeltaShardReply,
     DeltaShardRequest,
@@ -100,7 +99,6 @@ def _result_meta(result: ServeResult) -> dict:
         "queued_seconds": float(result.queued_seconds),
         "plan_seconds": float(result.plan_seconds),
         "execute_seconds": float(result.execute_seconds),
-        "batch_size": int(result.batch_size),
     }
 
 
@@ -175,8 +173,6 @@ class WorkerRuntime:
     def _dispatch(self, message) -> None:
         if isinstance(message, ShardRequest):
             self._serve(message)
-        elif isinstance(message, BatchShardRequest):
-            self._serve_batch(message)
         elif isinstance(message, DeltaShardRequest):
             self._apply_delta(message)
         elif isinstance(message, WarmRequest):
@@ -250,88 +246,6 @@ class WorkerRuntime:
             )
         self.served += 1
         self.replies.put(reply)
-
-    def _serve_batch(self, message: BatchShardRequest) -> None:
-        """Serve a same-fingerprint burst as one engine batch.
-
-        The members' shared x slots become one atomic ``submit_batch``
-        — the single-threaded engine dequeues them together and (when
-        its ``max_batch_rhs`` allows) runs one SpMM over the stacked
-        block.  Expiries are checked per member before submission and
-        every member gets its own reply, so deadline/failure semantics
-        match singles exactly; the batch only changes how the kernel
-        work is shaped.
-        """
-        now = time.monotonic()
-        live: list = []
-        for request in message.requests:
-            if request.expires_at is not None:
-                remaining = request.expires_at - now
-                if remaining <= 0.0:
-                    self.served += 1
-                    self.replies.put(
-                        ShardReply(
-                            msg_id=request.msg_id,
-                            shard_id=self.shard_id,
-                            generation=self.generation,
-                            ok=False,
-                            error=(
-                                "DeadlineExceededError",
-                                f"deadline expired in shard "
-                                f"{self.shard_id} queue "
-                                f"({request.plan.fingerprint})",
-                            ),
-                        )
-                    )
-                    continue
-            else:
-                remaining = None
-            live.append((request, remaining))
-        if not live:
-            return
-        head = live[0][0]
-        try:
-            matrix = self._matrix_for(head.plan)
-            futures = self.engine.submit_batch(
-                matrix,
-                [self.segments.view(request.x) for request, _ in live],
-                deadlines=[remaining for _, remaining in live],
-                fingerprint=head.plan.fingerprint,
-            )
-        except BaseException as exc:
-            for request, _ in live:
-                self.served += 1
-                self.replies.put(
-                    ShardReply(
-                        msg_id=request.msg_id,
-                        shard_id=self.shard_id,
-                        generation=self.generation,
-                        ok=False,
-                        error=(type(exc).__name__, str(exc)),
-                    )
-                )
-            return
-        for (request, _), future in zip(live, futures):
-            try:
-                result = future.result()
-                np.copyto(self.segments.view(request.y), result.y)
-                reply = ShardReply(
-                    msg_id=request.msg_id,
-                    shard_id=self.shard_id,
-                    generation=self.generation,
-                    ok=True,
-                    meta=_result_meta(result),
-                )
-            except BaseException as exc:
-                reply = ShardReply(
-                    msg_id=request.msg_id,
-                    shard_id=self.shard_id,
-                    generation=self.generation,
-                    ok=False,
-                    error=(type(exc).__name__, str(exc)),
-                )
-            self.served += 1
-            self.replies.put(reply)
 
     def _apply_delta(self, message: DeltaShardRequest) -> None:
         """Migrate this shard's plan across a structure delta.

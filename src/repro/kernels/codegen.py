@@ -20,12 +20,10 @@ everything after the emit:
   actual matrix (``np.allclose``) and times both; the generated kernel is
   returned only when it agrees *and* wins.  Every other outcome — no
   template, unroll ceiling exceeded, audit mismatch, slower — silently
-  keeps the generic kernel.  There is no regression path.
-
-When :mod:`numba` is importable the compiled function is additionally
-offered to ``numba.njit``; the jitted variant is probed once and kept only
-if it actually executes (the object-mode ``matrix`` argument makes most
-templates fall back to the plain compiled function).
+  keeps the generic kernel.  There is no regression path.  The audit
+  runs at most once per plan build: the serving engine skips its own pass
+  when the tuner already ran the backend, and re-specializes a plan whose
+  structure a delta changed, since the folded constants no longer hold.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import linecache
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -45,11 +43,6 @@ from repro.kernels import templates
 from repro.kernels.backends import KernelBackend, register_backend
 from repro.kernels.base import Kernel
 from repro.kernels.strategies import Strategy
-
-try:  # pragma: no cover - numba is optional and absent in CI
-    import numba  # type: ignore
-except Exception:  # pragma: no cover
-    numba = None
 
 #: Filename prefix of every exec-compiled kernel (coverage attribution key).
 GENERATED_FILE_PREFIX = "<repro-codegen:"
@@ -76,9 +69,6 @@ class _Compiled:
 
     source: str
     fn: Callable[..., np.ndarray]
-    jitted: Optional[Callable[..., np.ndarray]] = None
-    #: None = never probed, True/False = probe outcome (sticky).
-    jit_ok: Optional[bool] = None
 
 
 _CACHE: Dict[str, _Compiled] = {}
@@ -121,19 +111,13 @@ def _compile(source: str) -> tuple:
         namespace: Dict[str, object] = {"np": np}
         exec(code, namespace)
         fn = namespace["spmv"]
-        jitted = None
-        if numba is not None:  # pragma: no cover - optional dependency
-            try:
-                jitted = numba.njit(cache=False)(fn)
-            except Exception:
-                jitted = None
         linecache.cache[filename] = (
             len(source),
             None,
             source.splitlines(True),
             filename,
         )
-        entry = _Compiled(source=source, fn=fn, jitted=jitted)
+        entry = _Compiled(source=source, fn=fn)
         _CACHE[digest] = entry
         _STATS["compiles"] += 1
         return digest, entry
@@ -156,23 +140,6 @@ class GeneratedKernel(Kernel):
 GENERATED_STRATEGIES = frozenset({Strategy.VECTORIZE, Strategy.UNROLL})
 
 
-def _resolve_callable(
-    entry: _Compiled, matrix: SparseMatrix, aux: templates.Aux
-) -> Callable[..., np.ndarray]:
-    """Pick the jitted variant if it demonstrably runs, else the plain fn."""
-    if entry.jitted is None or entry.jit_ok is False:
-        return entry.fn
-    if entry.jit_ok is None:  # pragma: no cover - optional dependency
-        probe = np.zeros(matrix.n_cols, dtype=matrix.dtype)
-        try:
-            entry.jitted(matrix, probe, aux)
-            entry.jit_ok = True
-        except Exception:
-            entry.jit_ok = False
-            return entry.fn
-    return entry.jitted  # pragma: no cover - optional dependency
-
-
 def generate_kernel(matrix: SparseMatrix) -> GeneratedKernel:
     """Emit, compile, and bind a specialized kernel for ``matrix``.
 
@@ -183,7 +150,7 @@ def generate_kernel(matrix: SparseMatrix) -> GeneratedKernel:
     """
     generated = templates.emit(matrix)
     digest, entry = _compile(generated.source)
-    fn = _resolve_callable(entry, matrix, generated.aux)
+    fn = entry.fn
     aux = generated.aux
 
     def bound(m: SparseMatrix, x: np.ndarray) -> np.ndarray:

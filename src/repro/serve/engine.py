@@ -77,12 +77,7 @@ from repro.errors import (
 from repro.features.incremental import DeltaFeatures
 from repro.formats.convert import convert
 from repro.formats.csr import CSRMatrix
-from repro.formats.delta import (
-    DeltaEffect,
-    StructureDelta,
-    apply_delta,
-    patch_operand,
-)
+from repro.formats.delta import StructureDelta, apply_delta, patch_operand
 from repro.kernels.backends import get_backend
 from repro.serve.faults import FaultPlan
 from repro.serve.fingerprint import Fingerprint
@@ -132,18 +127,15 @@ _SPMM_COUNTERS = (
     "spmm_fallbacks",
 )
 
-#: Decision-cascade + conversion-amortizer + hot-swap instruments.  The
-#: cascade_* counters record which stage produced each cold decision;
-#: conversions_deferred/plans_upgraded track the amortizer's defer →
-#: repay lifecycle; ruleset_swaps counts model epochs observed while
-#: serving (an OnlineSmat retrain hot-swapped under us).
+#: Decision-cascade + hot-swap instruments.  The cascade_* counters
+#: record which stage produced each cold decision; ruleset_swaps counts
+#: model epochs observed while serving (an OnlineSmat retrain hot-swapped
+#: under us).
 _CASCADE_COUNTERS = (
     "cascade_cheap_hits",
     "cascade_full_hits",
     "cascade_measure_decisions",
     "cascade_floor_decisions",
-    "conversions_deferred",
-    "plans_upgraded",
     "ruleset_swaps",
 )
 
@@ -179,11 +171,6 @@ _DELTA_COUNTERS = (
     "delta_refreshes",
     "delta_retunes",
 )
-
-#: Nominal cost of converting to a non-CSR format, in CSR-SpMV units —
-#: the amortizer's repayment bar before any decision has priced the real
-#: target (analytic ELL/DIA conversion costs sit near 2 SpMVs).
-_NOMINAL_CONVERSION_UNITS = 2.0
 
 
 @dataclass(frozen=True)
@@ -232,20 +219,8 @@ class ServeConfig:
     #: re-tuning.  Disable to force every distinct value set through the
     #: full Figure 7 decision (the pre-two-tier behaviour).
     structure_cache: bool = True
-    #: Amortize conversion decisions per structure: a structure's first
-    #: sighting serves a provisional CSR plan (zero tuning overhead) and
-    #: the full decide+convert runs only once the structure's observed
-    #: request rate projects enough reuse over ``amortize_horizon_seconds``
-    #: to repay a conversion (Katagiri's when-does-transformation-pay-off
-    #: question, answered per structure from live traffic).
-    amortize_conversions: bool = False
-    #: Reuse projection window for the amortizer, seconds.
-    amortize_horizon_seconds: float = 10.0
-    #: Projected-uses multiple of the nominal conversion cost required
-    #: before upgrading a provisional plan (1.0 = break even).
-    amortize_payoff: float = 1.0
-    #: Kernel backend applied to cold plan builds
-    #: (``repro.kernels.backends``).  ``codegen`` compiles a per-matrix
+    #: Kernel backend applied to cold plan builds and delta-migrated
+    #: plans (``repro.kernels.backends``).  ``codegen`` compiles a per-matrix
     #: specialized kernel into the plan when it beats the registry kernel;
     #: any compile failure silently keeps the generic kernel.  A plain
     #: string, so shipping it inside a pickled cluster ``WorkerSpec``
@@ -267,15 +242,6 @@ class ServeConfig:
             raise ValueError(
                 f"kernel_backend must be one of {backend_names()}, "
                 f"got {self.kernel_backend!r}"
-            )
-        if self.amortize_horizon_seconds <= 0.0:
-            raise ValueError(
-                f"amortize_horizon_seconds must be > 0, "
-                f"got {self.amortize_horizon_seconds}"
-            )
-        if self.amortize_payoff <= 0.0:
-            raise ValueError(
-                f"amortize_payoff must be > 0, got {self.amortize_payoff}"
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -559,10 +525,10 @@ class _SubmissionQueue:
     ) -> None:
         """Enqueue ``requests`` atomically (all visible in one dequeue).
 
-        The batched dispatch path needs this: a worker's ``take_batch``
-        must see the whole same-fingerprint burst at once, even with a
-        zero batch window, so it coalesces into one SpMM instead of
-        trickling through as singles.
+        ``submit_batch`` needs this: a worker's ``take_batch`` must see
+        the whole same-fingerprint burst at once, even with a zero batch
+        window, so it coalesces into one SpMM instead of trickling
+        through as singles.
         """
         n = len(requests)
         if n == 0:
@@ -715,11 +681,8 @@ class ServingEngine:
             )
         except (TypeError, ValueError):
             self._tuner_takes_deadline = False
-        # Conversion amortizer: per-structure request stats feeding the
-        # defer-or-tune verdict, and the last tuner model epoch observed
-        # (for counting live ruleset hot-swaps).
-        self._structure_stats: Dict[Hashable, List[float]] = {}
-        self._amortize_guard = threading.Lock()
+        # The last tuner model epoch observed (for counting live ruleset
+        # hot-swaps).
         self._last_model_epoch: Optional[int] = getattr(
             tuner, "model_epoch", None
         )
@@ -888,11 +851,11 @@ class ServingEngine:
         The requests land in the submission queue in one step, so a
         worker's ``take_batch`` sees the whole burst at once and (when
         ``max_batch_rhs`` allows) executes it as a single SpMM — even
-        with ``batch_window == 0``.  This is the fan-in entry point the
-        cluster worker uses for batched shard dispatches.  ``deadlines``
-        gives each member its own end-to-end budget (None entries fall
-        back to the config default); deadlines, retries and failures stay
-        per-request inside the batch.
+        with ``batch_window == 0``.  This is the in-process fan-in entry
+        point; the cluster dispatches singles, so batching happens only
+        inside an engine.  ``deadlines`` gives each member its own
+        end-to-end budget (None entries fall back to the config default);
+        deadlines, retries and failures stay per-request inside the batch.
         """
         if not self.running:
             raise ServeError("engine is not running (call start())")
@@ -1062,7 +1025,6 @@ class ServingEngine:
             stage: Optional[str] = None
             if (
                 old_plan is not None
-                and not old_plan.provisional
                 and ratio <= self.config.delta_patch_max_ratio
             ):
                 redecision = self._delta_redecision(new_csr, features)
@@ -1081,11 +1043,20 @@ class ServingEngine:
                                 if result.mode == "patched"
                                 else "refresh"
                             )
+                            # A compiled kernel folds the old structure
+                            # (DIA offsets, ELL width, row buckets), so it
+                            # is dropped and the migrated operand is
+                            # re-specialized like a cold build.
+                            decision = replace(
+                                old_plan.decision,
+                                matrix=result.matrix,
+                                compiled_kernel=None,
+                                codegen_units=0.0,
+                            )
+                            self._specialize_kernel(decision)
                             plan = CachedPlan(
                                 key=new_key,
-                                decision=replace(
-                                    old_plan.decision, matrix=result.matrix
-                                ),
+                                decision=decision,
                                 matrix_bytes=result.matrix.memory_bytes(),
                             )
             if plan is None:
@@ -1130,10 +1101,6 @@ class ServingEngine:
         """
         model = getattr(self.tuner, "model", None)
         if model is None:
-            model = getattr(
-                getattr(self.tuner, "smat", None), "model", None
-            )
-        if model is None:
             return None
         try:
             if features is not None:
@@ -1142,10 +1109,6 @@ class ServingEngine:
                 )
                 return fmt, "delta"
             config = getattr(self.tuner, "config", None)
-            if config is None:
-                config = getattr(
-                    getattr(self.tuner, "smat", None), "config", None
-                )
             if config is not None:
                 selection = cascade_select(new_csr, model, config)
             else:
@@ -1524,21 +1487,12 @@ class ServingEngine:
         deadline: Optional[Deadline] = None,
     ) -> _Resolution:
         started = time.perf_counter()
-        # An upgrade is a provisional plan whose structure's traffic now
-        # repays tuning: skip the hit/refresh short-circuits and rebuild.
-        upgrade = False
         plan = self.cache.get(key)
         if plan is not None:
-            # A provisional (amortizer-deferred) plan is a valid hit
-            # until the structure's traffic projects a conversion payoff;
-            # then it is rebuilt as a tuned plan.
-            if plan.provisional and self._should_upgrade(key):
-                upgrade = True
-            else:
-                self.metrics.counter("cache_hits").inc()
-                return _Resolution(
-                    plan, True, time.perf_counter() - started, False
-                )
+            self.metrics.counter("cache_hits").inc()
+            return _Resolution(
+                plan, True, time.perf_counter() - started, False
+            )
 
         breaker = self._breaker_for(key)
         ticket = breaker.acquire()
@@ -1565,28 +1519,15 @@ class ServingEngine:
                 # Double-check: another worker may have built it while we
                 # waited on the single-flight lock.
                 plan = self.cache.get(key, record_stats=False)
-                if plan is not None and plan.provisional and not upgrade:
-                    # Another worker admitted a provisional plan while we
-                    # waited: treat it as a provisional hit and re-ask the
-                    # amortizer whether this use tips the balance.
-                    upgrade = self._should_upgrade(key)
-                if plan is not None and not (plan.provisional and upgrade):
+                if plan is not None:
                     self.metrics.counter("cache_hits").inc()
                     if breaker.record_success():
                         self.metrics.counter("breaker_recovered").inc()
                     return _Resolution(
                         plan, True, time.perf_counter() - started, False
                     )
-                if structure is not None and not upgrade:
+                if structure is not None:
                     donor = self.cache.get_by_structure(structure)
-                    if donor is not None and donor.provisional:
-                        # Value churn over a deferred structure still
-                        # counts toward its conversion payoff; once the
-                        # rate repays, build tuned instead of refreshing
-                        # the CSR placeholder.
-                        if self._should_upgrade(key):
-                            upgrade = True
-                            donor = None
                     if donor is not None:
                         plan = self._refresh_plan(key, matrix, donor)
                         if plan is not None:
@@ -1602,34 +1543,12 @@ class ServingEngine:
                                 refreshed=True,
                             )
                 self.metrics.counter("cache_misses").inc()
-                if (
-                    self.config.amortize_conversions
-                    and not upgrade
-                    and not self._should_upgrade(key)
-                ):
-                    plan = self._provisional_plan(key, matrix)
-                    if plan is not None:
-                        self.metrics.counter("conversions_deferred").inc()
-                        if breaker.record_success():
-                            self.metrics.counter("breaker_recovered").inc()
-                        if self.cache.put(plan):
-                            self.metrics.counter("plans_cached").inc()
-                        else:
-                            self.metrics.counter("plans_uncacheable").inc()
-                        return _Resolution(
-                            plan,
-                            False,
-                            time.perf_counter() - started,
-                            False,
-                        )
                 build_started = time.perf_counter()
                 try:
                     with obs.span(
                         "serve.build", probe=ticket is BuildTicket.PROBE
                     ):
                         plan = self._build_plan(key, matrix, deadline)
-                        if upgrade:
-                            self.metrics.counter("plans_upgraded").inc()
                 except Exception:
                     # Graceful degradation: the build failure is recorded
                     # against the breaker, but this batch is still served
@@ -1694,9 +1613,6 @@ class ServingEngine:
             key=key,
             decision=replace(donor.decision, matrix=refreshed),
             matrix_bytes=refreshed.memory_bytes(),
-            # A provisional donor stays provisional: the refreshed copy is
-            # still the deferred CSR identity, upgradeable later.
-            provisional=donor.provisional,
         )
         self.metrics.counter("structure_hits").inc()
         self.metrics.counter("plans_refreshed").inc()
@@ -1743,18 +1659,20 @@ class ServingEngine:
         )
 
     def _specialize_kernel(self, decision: Decision) -> None:
-        """Apply ``config.kernel_backend`` to a freshly built decision.
+        """Apply ``config.kernel_backend`` to a built or migrated decision.
 
-        A tuner configured with the same backend may have specialized
-        already (``decision.compiled_kernel`` set); otherwise the engine
-        runs the backend here so arbitrary tuners get codegen too.  Any
+        The beat-or-keep audit runs at most once per build: a tuner that
+        already ran its backend (``decision.codegen_units > 0``) keeps its
+        verdict, compiled or generic.  Otherwise — a generic tuner, or a
+        cascade budget that refused the specialization — the engine runs
+        the backend here so arbitrary tuners get codegen too.  Any
         failure — including an injected ``codegen.compile`` fault — keeps
         the generic kernel: the build still succeeds, nothing reaches the
         breaker.
         """
         if self.config.kernel_backend == "generic":
             return
-        if decision.compiled_kernel is None:
+        if decision.compiled_kernel is None and not decision.codegen_units:
             try:
                 if self.faults is not None:
                     self.faults.on_call("codegen.compile")
@@ -1773,60 +1691,8 @@ class ServingEngine:
             self.metrics.counter("codegen_kept_generic").inc()
 
     # ------------------------------------------------------------------
-    # Conversion amortizer + hot-swap observation
+    # Hot-swap observation + single-flight and breaker registries
     # ------------------------------------------------------------------
-    def _should_upgrade(self, key: Fingerprint) -> bool:
-        """Record one use of ``key``'s structure and answer whether its
-        projected reuse over the amortize horizon now repays a
-        conversion.  First sighting always defers."""
-        if not self.config.amortize_conversions:
-            return True  # amortizer off: always tune immediately
-        skey: Hashable = (
-            key.structure_key if key.structure_key is not None else key
-        )
-        now = time.monotonic()
-        with self._amortize_guard:
-            stats = self._structure_stats.get(skey)
-            if stats is None:
-                self._structure_stats[skey] = [now, 1.0]
-                return False
-            stats[1] += 1.0
-            elapsed = max(now - stats[0], 1e-6)
-            projected = (
-                stats[1] / elapsed
-            ) * self.config.amortize_horizon_seconds
-            return projected >= (
-                _NOMINAL_CONVERSION_UNITS * self.config.amortize_payoff
-            )
-
-    def _provisional_plan(
-        self, key: Fingerprint, matrix: CSRMatrix
-    ) -> Optional[CachedPlan]:
-        """A zero-tuning CSR identity plan for a first-seen structure.
-
-        Needs the tuner's kernel library for the CSR kernel; a tuner
-        exposing only ``decide()`` cannot defer (returns None → the
-        caller runs a normal build).
-        """
-        kernels = getattr(self.tuner, "kernels", None)
-        if kernels is None:
-            return None
-        decision = Decision(
-            format_name=FormatName.CSR,
-            kernel=kernels.kernel_for(FormatName.CSR),
-            confidence=0.0,
-            matched_rule=None,
-            used_fallback=False,
-            predicted_format=FormatName.CSR,
-            matrix=matrix,
-        )
-        return CachedPlan(
-            key=key,
-            decision=decision,
-            matrix_bytes=matrix.memory_bytes(),
-            provisional=True,
-        )
-
     def _observe_model_epoch(self) -> None:
         """Count tuner model hot-swaps (OnlineSmat retrains or cluster
         model pushes) that happened since the last cold decision."""

@@ -16,9 +16,8 @@ scoreboard always show them, fired or not): resilience
 (``spmm_*``), and the decision cascade (``cascade_cheap_hits``/
 ``cascade_full_hits``/``cascade_measure_decisions``/
 ``cascade_floor_decisions`` for the stage that produced each cold
-decision, ``conversions_deferred``/``plans_upgraded`` for the
-conversion amortizer, ``ruleset_swaps`` for live model hot-swaps
-observed while serving).
+decision, ``ruleset_swaps`` for live model hot-swaps observed while
+serving).
 
 Fork-safety and multi-process aggregation
 -----------------------------------------

@@ -49,12 +49,6 @@ class CachedPlan:
     #: Storage footprint of the converted matrix (padding included).
     matrix_bytes: int
     hits: int = field(default=0)
-    #: True for an amortizer placeholder: the engine deferred tuning and
-    #: cached the CSR identity until the structure's observed request
-    #: rate projects enough reuse to repay a conversion (see
-    #: ``ServeConfig.amortize_conversions``).  Provisional plans serve
-    #: correctly; they are just not (yet) format-optimised.
-    provisional: bool = field(default=False)
 
     def __post_init__(self) -> None:
         if self.decision.matrix is None:
@@ -65,7 +59,8 @@ class CachedPlan:
         """The callable products run: the decision's compiled codegen
         artifact when one is attached, else its registry kernel.  The
         compiled kernel folds only *structure*, so it stays valid across
-        ``refresh_values`` — tier-2 refreshed plans inherit it for free.
+        ``refresh_values`` — tier-2 refreshed plans inherit it for free —
+        while a structure delta drops it and re-specializes.
         """
         return self.decision.serving_kernel
 

@@ -239,12 +239,12 @@ def replay_fan_in(
     The fan-in workload: ``bursts`` rounds, each submitting ``fan_in``
     requests against *one* pool matrix (round-robin over the pool) in a
     single :meth:`~repro.serve.engine.ServingEngine.submit_batch` call —
-    the shape a cluster worker presents when the dispatcher coalesces a
-    same-fingerprint burst.  Whether the engine actually stacks them into
-    an SpMM depends on its ``max_batch_rhs``; running the same workload
-    against a batched and an unbatched engine isolates exactly the
-    batching speedup.  Operand vectors are drawn from a seeded generator,
-    so two replays with the same seed see identical requests.
+    one caller's same-fingerprint burst.  Whether the engine actually
+    stacks them into an SpMM depends on its ``max_batch_rhs``; running the
+    same workload against a batched and an unbatched engine isolates
+    exactly the batching speedup.  Operand vectors are drawn from a
+    seeded generator, so two replays with the same seed see identical
+    requests.
     """
     if bursts < 1:
         raise ValueError(f"bursts must be >= 1, got {bursts}")

@@ -8,9 +8,11 @@ Covers the pluggable backend seam end to end:
 * the source-hash compile cache — meter-proven hits, exactly one compile
   under concurrent cold builds,
 * the serving engine: plans carry the compiled kernel, tier-2 value
-  refresh and a re-warmed engine preserve it, and (the chaos case) a
-  mid-serve ``codegen.compile`` fault degrades to the generic kernel
-  without failing requests or feeding the circuit breaker.
+  refresh and a re-warmed engine preserve it, a structure delta
+  re-specializes it, the beat-or-keep audit runs once per cold build,
+  and (the chaos case) a mid-serve ``codegen.compile`` fault degrades to
+  the generic kernel without failing requests or feeding the circuit
+  breaker.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.collection import banded, generate_collection
 from repro.errors import CodegenError, KernelError
 from repro.formats.convert import convert
 from repro.formats.csr import CSRMatrix
+from repro.formats.delta import StructureDelta
 from repro.kernels import codegen
 from repro.kernels.backends import (
     DEFAULT_BACKEND,
@@ -47,7 +50,12 @@ from repro.machine.costmodel import codegen_overhead_units
 from repro.serve import FaultPlan, FaultRule, ServeConfig, ServingEngine
 from repro.tuner import SMAT
 from repro.tuner.config import SmatConfig
-from repro.types import FormatName
+from repro.types import INDEX_DTYPE, FormatName
+
+from tests.test_properties_differential import (
+    dyadic_operand,
+    with_dyadic_data,
+)
 
 
 @pytest.fixture(scope="module")
@@ -367,6 +375,62 @@ class TestServingIntegration:
         assert second.kernel_name == first.kernel_name
         assert after["compiles"] == before["compiles"]
         assert after["cache_hits"] > before["cache_hits"]
+
+    def test_delta_onto_new_diagonal_respecializes(
+        self, smat, monkeypatch
+    ) -> None:
+        """A delta that adds a diagonal moves the DIA offsets the compiled
+        kernel folded in: the migrated plan must serve a kernel generated
+        for the post-delta structure, not the pre-delta one."""
+        _force_generated_wins(monkeypatch)
+        rng = np.random.default_rng(5)
+        matrix = with_dyadic_data(_band(), rng)
+        x = dyadic_operand(rng, matrix.n_cols)
+        rows = np.repeat(np.arange(matrix.n_rows), matrix.row_degrees())
+        offset = int((matrix.indices - rows).max()) + 7
+        inserted = np.array([10, 50, 90], dtype=INDEX_DTYPE)
+        delta = StructureDelta(
+            insert_rows=inserted,
+            insert_cols=inserted + offset,
+            insert_vals=np.array([0.5, -1.25, 2.0]),
+        )
+        with _engine(smat) as engine:
+            cold = engine.spmv(matrix, x)
+            assert cold.kernel_name.startswith("DIA/codegen[")
+            outcome = engine.apply_structure_delta(matrix, delta)
+            assert outcome.policy == "refresh"
+            served = engine.spmv(outcome.matrix, x)
+        assert np.array_equal(
+            served.y, outcome.matrix.spmv(x, reference=True)
+        )
+        assert served.kernel_name.startswith("DIA/codegen[")
+        assert served.kernel_name != cold.kernel_name
+
+    def test_tuner_audit_not_repeated_by_engine(
+        self, smat, monkeypatch
+    ) -> None:
+        """A tuner running the codegen backend already audited the
+        kernel; when generic wins, the engine must keep that verdict
+        rather than emit and audit a second time."""
+        monkeypatch.setattr(
+            codegen,
+            "_best_time",
+            lambda kernel, matrix, x: (
+                1.0 if isinstance(kernel, GeneratedKernel) else 0.0
+            ),
+        )
+        config = replace(smat.config, kernel_backend="codegen")
+        monkeypatch.setattr(smat, "config", config)
+        matrix = _band(seed=59)
+        x = np.linspace(-1.0, 1.0, matrix.n_cols)
+        reset_codegen_stats(clear_cache=True)
+        with _engine(smat) as engine:
+            result = engine.spmv(matrix, x)
+            assert engine.metrics.counter("codegen_kept_generic").value == 1
+        stats = codegen_stats()
+        assert stats["compiles"] + stats["cache_hits"] == 1
+        assert "codegen[" not in result.kernel_name
+        assert np.allclose(result.y, matrix.spmv(x))
 
     def test_compile_fault_degrades_to_generic_not_breaker(
         self, smat, monkeypatch

@@ -1,6 +1,6 @@
 """Serving-engine tests: correctness, amortization, batching, backpressure,
-lifecycle, and the acceptance stress test (4 threads x 200+ mixed requests
-over 20+ distinct matrices)."""
+lifecycle, plan-resolution counter conservation, and the acceptance stress
+test (4 threads x 200+ mixed requests over 20+ distinct matrices)."""
 
 from __future__ import annotations
 
@@ -14,8 +14,12 @@ from repro.collection import generate_collection
 from repro.errors import BackpressureError, ServeError
 from repro.features.extract import EXTRACTION_EVENTS
 from repro.formats.convert import CONVERSION_EVENTS
+from repro.formats.csr import CSRMatrix
+from repro.formats.delta import StructureDelta
 from repro.machine import INTEL_XEON_X5680, SimulatedBackend
 from repro.serve import (
+    FaultPlan,
+    FaultRule,
     ServeConfig,
     ServingEngine,
     build_matrix_pool,
@@ -25,7 +29,7 @@ from repro.serve import (
 )
 from repro.serve.engine import _Request, _SubmissionQueue
 from repro.tuner import SMAT, OnlineSmat, SmatConfig
-from repro.types import Precision
+from repro.types import INDEX_DTYPE, Precision
 
 from tests.conftest import random_csr
 
@@ -270,6 +274,87 @@ class TestErrorIsolation:
         # Nothing was enqueued and the engine keeps serving.
         assert engine.metrics.counter("requests_failed").value == 0
         assert engine.spmv(matrix, good).cache_hit
+
+
+class TestCounterConservation:
+    def test_plan_resolution_counters_add_up(self, smat, rng) -> None:
+        """Every dequeued batch resolves its plan exactly once, as a
+        tier-1 hit, a tier-2 refresh or a miss; every successful build is
+        a miss that did not fail or a retuning delta; every submitted
+        request is served or failed.  No deadlines, and the breaker
+        threshold sits above the one injected fault, so no batch expires
+        or degrades before resolution."""
+        faults = FaultPlan(
+            [FaultRule(site="decide", kind="fatal", start=1, stop=2)]
+        )
+        config = ServeConfig(workers=2, breaker_threshold=3)
+        pool = [
+            random_csr(rng, n_rows=50 + 5 * i, n_cols=50 + 5 * i)
+            for i in range(4)
+        ]
+        with ServingEngine(smat, config, faults=faults) as engine:
+            # Cold builds; the second decide is the injected fault.
+            for matrix in pool:
+                engine.spmv(matrix, np.ones(matrix.n_cols))
+            # Tier-1 hits, concurrent, plus the failed plan's rebuild.
+            futures = [
+                engine.submit(matrix, rng.standard_normal(matrix.n_cols))
+                for matrix in pool
+                for _ in range(3)
+            ]
+            for future in futures:
+                future.result()
+            # Tier-2 refresh: same structure, fresh values.
+            head = pool[0]
+            churned = CSRMatrix(
+                head.ptr,
+                head.indices,
+                rng.standard_normal(head.nnz),
+                head.shape,
+            )
+            assert engine.spmv(churned, np.ones(head.n_cols)).refreshed
+            # A same-matrix burst.
+            burst = engine.submit_batch(
+                pool[2],
+                [rng.standard_normal(pool[2].n_cols) for _ in range(6)],
+            )
+            for future in burst:
+                future.result()
+            # One retuning delta: inserts past the patch ceiling.
+            victim = pool[3]
+            holes = np.argwhere(victim.to_dense() == 0.0)
+            picks = holes[: victim.nnz // 2 + 2]
+            outcome = engine.apply_structure_delta(
+                victim,
+                StructureDelta(
+                    insert_rows=picks[:, 0].astype(INDEX_DTYPE),
+                    insert_cols=picks[:, 1].astype(INDEX_DTYPE),
+                    insert_vals=np.ones(picks.shape[0]),
+                ),
+            )
+            assert outcome.policy == "retune"
+            engine.spmv(outcome.matrix, np.ones(victim.n_cols))
+            snapshot = engine.metrics.snapshot()
+        counters = snapshot["counters"]
+        assert counters["plan_build_failures"] == 1
+        assert counters["degraded_requests"] == 1
+        assert counters["plans_refreshed"] == 1
+        assert counters["delta_retunes"] == 1
+        assert counters["cache_hits"] >= 1
+        batches = snapshot["histograms"]["batch_size"]["count"]
+        assert batches == (
+            counters["cache_hits"]
+            + counters["plans_refreshed"]
+            + counters["cache_misses"]
+        )
+        assert counters["plans_built"] == (
+            counters["cache_misses"]
+            - counters["plan_build_failures"]
+            + counters["delta_retunes"]
+        )
+        assert counters["requests_submitted"] == (
+            counters["requests_served"] + counters["requests_failed"]
+        )
 
 
 class TestStress:

@@ -1,6 +1,6 @@
 """Decision-cascade tests: interval-bound soundness, stage-0 equivalence
 with the full walk, budget/deadline floors, and the serving engine's
-conversion amortizer, cascade counters and ruleset hot-swap."""
+cascade counters and ruleset hot-swap."""
 
 from __future__ import annotations
 
@@ -231,23 +231,6 @@ class TestCascadeDecide:
 
 
 class TestServingIntegration:
-    def test_amortizer_defers_then_upgrades(self, smat) -> None:
-        matrix = contiguous_band(2500, 7, seed=3)
-        x = np.ones(matrix.n_cols)
-        config = ServeConfig(workers=1, amortize_conversions=True)
-        with ServingEngine(smat, config) as engine:
-            first = engine.spmv(matrix, x)
-            counters = engine.metrics.snapshot()["counters"]
-            assert counters["conversions_deferred"] == 1
-            assert counters["plans_upgraded"] == 0
-            second = engine.spmv(matrix, x)
-            counters = engine.metrics.snapshot()["counters"]
-            assert counters["plans_upgraded"] == 1
-            third = engine.spmv(matrix, x)
-        reference = matrix.spmv(x)
-        for result in (first, second, third):
-            np.testing.assert_allclose(result.y, reference, atol=1e-9)
-
     def test_cascade_counters_partition_cold_builds(self, smat) -> None:
         tuner = SMAT(
             smat.model,
