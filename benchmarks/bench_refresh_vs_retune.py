@@ -133,6 +133,7 @@ def test_value_churn_serving(smat, report_dir, capsys) -> None:
         build_matrix_pool,
         churn_schedule,
         replay,
+        schedule_ops,
         value_churn_pool,
     )
 
@@ -140,11 +141,12 @@ def test_value_churn_serving(smat, report_dir, capsys) -> None:
     base = build_matrix_pool(structures, seed=2013, size_scale=0.5)
     pool = value_churn_pool(base, updates, seed=2013)
     schedule = churn_schedule(structures, updates, seed=2013)
+    ops = schedule_ops(pool, schedule, clients=2, seed=99)
 
     def run(structure_cache: bool):
         config = ServeConfig(workers=2, structure_cache=structure_cache)
         with ServingEngine(smat, config) as engine:
-            report = replay(engine, pool, schedule, clients=2, seed=99)
+            report = replay(engine, ops)
             counters = engine.metrics.snapshot()["counters"]
         assert not report.errors, report.errors
         assert report.mismatches == 0

@@ -35,6 +35,7 @@ from repro.serve import (
     build_matrix_pool,
     popularity_schedule,
     replay,
+    schedule_ops,
 )
 from repro.tuner import SMAT
 from repro.types import Precision
@@ -58,7 +59,7 @@ def main() -> None:
     conversions = CONVERSION_EVENTS.count
     config = ServeConfig(workers=4, queue_capacity=128, cache_entries=64)
     with ServingEngine(smat, config) as engine:
-        report = replay(engine, pool, schedule, clients=4, seed=3)
+        report = replay(engine, schedule_ops(pool, schedule, seed=3))
         print()
         print(engine.scoreboard())
 

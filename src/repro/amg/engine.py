@@ -92,8 +92,6 @@ class SmatEngine:
 
     def prepare(self, matrix: CSRMatrix) -> PreparedOperator:
         decision = self.smat.decide(matrix)
-        if decision.matrix is None:  # pragma: no cover - decide always sets it
-            decision.matrix = matrix
         seconds = 0.0
         if isinstance(self.smat.backend, SimulatedBackend):
             seconds = estimate_spmv_time(

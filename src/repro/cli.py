@@ -11,14 +11,12 @@
 * ``evaluate``   — confusion matrix / per-class report of a saved model on
   a feature database,
 * ``stats``      — domain and format-affinity distribution of a database,
-* ``serve-bench``— replay a synthetic concurrent workload through the
-  ``repro.serve`` engine and print its scoreboard (``--trace`` captures
-  the replay as a Chrome trace; ``--value-churn N`` serves N value
-  updates per matrix to exercise the tier-2 refresh fast path;
-  ``--cluster`` replays against ``repro.cluster`` instead — ``--workers
-  N`` then means N shard *processes* behind the shared-memory plan
-  store, and ``--bench-json`` records the run as the ``serve/sharded``
-  section of ``BENCH_perf.json``),
+* ``serve-bench``— replay a synthetic workload (popularity-skewed, value
+  churn, same-matrix fan-in bursts or an evolving graph) through the
+  ``repro.serve`` engine, or the ``repro.cluster`` shards under
+  ``--cluster``, verify every product and print the scoreboard
+  (``--trace`` captures the replay as a Chrome trace; ``--bench-json``
+  records a baseline comparison into ``BENCH_perf.json``),
 * ``trace``      — route one matrix through the serving engine with
   tracing on and print the span tree + per-stage overhead report,
 * ``bench-perf`` — time the vectorized cold path (conversions, feature
@@ -40,6 +38,7 @@ from repro.types import Precision
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.serve.faults import SITES
     from repro.util.version import package_version
 
     parser = argparse.ArgumentParser(
@@ -121,33 +120,22 @@ def build_parser() -> argparse.ArgumentParser:
                             "re-dispatch")
     serve.add_argument("--bench-json", type=Path, default=None,
                        metavar="PATH", dest="bench_json",
-                       help="needs --cluster or --fan-in: merge a "
-                            "serve/sharded (cluster: throughput vs a "
-                            "--workers 1 baseline, zero-copy counter, "
-                            "repair stats) or serve/fan_in (batched vs "
-                            "unbatched throughput, SpMM counters) section "
-                            "into the BENCH_perf.json-style report at PATH")
+                       help="needs --cluster, --fan-in or --structure-"
+                            "churn: merge a serve/sharded, serve/fan_in or "
+                            "serve/structure_churn section into the "
+                            "BENCH_perf.json-style report at PATH; --fan-in "
+                            "and --cluster with --workers > 1 first replay "
+                            "a baseline (unbatched, one shard)")
     serve.add_argument("--fan-in", type=int, default=None,
                        metavar="N", dest="fan_in",
                        help="fan-in mode: submit same-matrix bursts of N "
                             "requests each (--requests total, round-robin "
-                            "over the pool) and replay them twice — through "
-                            "a batching engine (SpMM fast path) and an "
-                            "unbatched one — reporting the batched-vs-"
-                            "unbatched throughput")
-    serve.add_argument("--batch-window", type=float, default=0.005,
-                       metavar="S", dest="batch_window",
-                       help="needs --fan-in: seconds a dequeued request "
-                            "waits for same-fingerprint company before the "
-                            "batch executes (default 0.005)")
-    serve.add_argument("--max-batch-rhs", type=int, default=None,
-                       metavar="K", dest="max_batch_rhs",
-                       help="needs --fan-in: RHS-vector cap per coalesced "
-                            "SpMM (default: the --fan-in burst size)")
+                            "over the pool), each burst stacked into one "
+                            "SpMM; with --bench-json the same bursts are "
+                            "also replayed unbatched for the throughput "
+                            "ratio")
     serve.add_argument("--cache-entries", type=int, default=64,
                        help="plan-cache entry cap (default 64)")
-    serve.add_argument("--cache-bytes", type=int, default=None,
-                       help="plan-cache byte budget (default unlimited)")
     serve.add_argument("--train-scale", type=float, default=0.05,
                        help="training collection fraction (default 0.05)")
     serve.add_argument("--online", action="store_true",
@@ -209,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SPEC",
                        help="inject deterministic faults for chaos replay; "
                             "SPEC is 'SITE[,key=value...]' with SITE in "
-                            "{decide,convert,refresh,execute,spmm,"
-                            "codegen.compile}, e.g. "
+                            "{" + ",".join(SITES) + "}, e.g. "
                             "'decide,rate=0.5,stop=20' or "
                             "'execute,kind=latency,latency=0.002'; "
                             "repeatable")
@@ -430,7 +417,62 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_bench_refusal(args: argparse.Namespace) -> Optional[str]:
+    """Why serve-bench refuses these flags, or None: one table of
+    conflicts, dependencies and ranges."""
+
+    def given(flag: str) -> bool:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        return value is not None and value is not False
+
+    # Online retraining is in-process (each shard would learn on its
+    # own), and the fan-in and churn workloads each drive one engine.
+    for flag, others in (
+        ("--cluster", ("--fan-in", "--structure-churn", "--online")),
+        ("--structure-churn", ("--fan-in", "--value-churn", "--online")),
+        ("--fan-in", ("--value-churn", "--online")),
+    ):
+        for other in others:
+            if given(flag) and given(other):
+                return f"{flag} cannot be combined with {other}"
+    for flag, needs in (
+        ("--crash-after", ("--cluster",)),
+        ("--bench-json", ("--cluster", "--fan-in", "--structure-churn")),
+    ):
+        if given(flag) and not any(given(need) for need in needs):
+            return f"{flag} needs {' or '.join(needs)}"
+    churn = given("--structure-churn")
+    for flag, value, ok, bound in (
+        ("--tune-budget", args.tune_budget, lambda v: v > 0, "> 0"),
+        ("--crash-after", args.crash_after, lambda v: v >= 1, ">= 1"),
+        ("--fan-in", args.fan_in, lambda v: v >= 1, ">= 1"),
+        ("--value-churn", args.value_churn, lambda v: v >= 2,
+         ">= 2 (one base build plus at least one value update)"),
+        ("--structure-churn", args.structure_churn, lambda v: v >= 2,
+         ">= 2 (at least one delta between serve rounds)"),
+        ("--churn-fraction", args.churn_fraction if churn else None,
+         lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+        ("--churn-nodes", args.churn_nodes if churn else None,
+         lambda v: v >= 16, ">= 16"),
+    ):
+        if value is not None and not ok(value):
+            return f"{flag} ({value}) must be {bound}"
+    # Only the popularity schedule covers every pool matrix.
+    popularity = not (given("--fan-in") or given("--value-churn") or churn)
+    if popularity and args.requests < args.matrices:
+        return (f"--requests ({args.requests}) must be >= --matrices "
+                f"({args.matrices}) so every matrix is requested at least "
+                f"once")
+    return None
+
+
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
+    import os
+    from contextlib import nullcontext
+    from dataclasses import replace
+
+    from repro import obs
+    from repro.cluster import ClusterConfig, ClusterDispatcher, WorkerSpec
     from repro.collection import generate_collection
     from repro.serve import (
         FaultPlan,
@@ -438,103 +480,22 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         ServingEngine,
         build_matrix_pool,
         churn_schedule,
+        evolving_graph_ops,
+        fan_in_ops,
         popularity_schedule,
         replay,
+        schedule_ops,
         value_churn_pool,
     )
+    from repro.serve.workload import Burst
     from repro.tuner import SMAT, OnlineSmat
 
     if args.online_retrain:
         args.online = True
-    if args.tune_budget is not None and args.tune_budget <= 0:
-        print(f"error: --tune-budget ({args.tune_budget}) must be > 0",
-              file=sys.stderr)
+    refusal = _serve_bench_refusal(args)
+    if refusal is not None:
+        print(f"error: {refusal}", file=sys.stderr)
         return 1
-    if args.crash_after is not None and not args.cluster:
-        print("error: --crash-after needs --cluster", file=sys.stderr)
-        return 1
-    if args.bench_json is not None and not (
-        args.cluster or args.fan_in or args.structure_churn
-    ):
-        print("error: --bench-json needs --cluster, --fan-in or "
-              "--structure-churn",
-              file=sys.stderr)
-        return 1
-    if args.structure_churn is not None:
-        if args.structure_churn < 2:
-            print(f"error: --structure-churn ({args.structure_churn}) must "
-                  f"be >= 2 (at least one delta between serve rounds)",
-                  file=sys.stderr)
-            return 1
-        if not 0.0 < args.churn_fraction <= 1.0:
-            print(f"error: --churn-fraction ({args.churn_fraction}) must "
-                  f"be in (0, 1]", file=sys.stderr)
-            return 1
-        if args.churn_nodes < 16:
-            print(f"error: --churn-nodes ({args.churn_nodes}) must be "
-                  f">= 16", file=sys.stderr)
-            return 1
-        for flag, on in (("--cluster", args.cluster),
-                         ("--fan-in", args.fan_in is not None),
-                         ("--value-churn", args.value_churn is not None),
-                         ("--online", args.online)):
-            if on:
-                print(f"error: --structure-churn cannot be combined with "
-                      f"{flag}", file=sys.stderr)
-                return 1
-    if args.fan_in is not None:
-        if args.fan_in < 1:
-            print(f"error: --fan-in ({args.fan_in}) must be >= 1",
-                  file=sys.stderr)
-            return 1
-        for flag, on in (("--cluster", args.cluster),
-                         ("--online", args.online),
-                         ("--value-churn", args.value_churn is not None)):
-            if on:
-                print(f"error: --fan-in cannot be combined with {flag}",
-                      file=sys.stderr)
-                return 1
-        if args.max_batch_rhs is not None and args.max_batch_rhs < 1:
-            print(f"error: --max-batch-rhs ({args.max_batch_rhs}) must "
-                  f"be >= 1", file=sys.stderr)
-            return 1
-        if args.batch_window < 0:
-            print(f"error: --batch-window ({args.batch_window}) must "
-                  f"be >= 0", file=sys.stderr)
-            return 1
-    if args.cluster and args.online:
-        print(
-            "error: --cluster cannot serve through OnlineSmat (each shard "
-            "process would learn independently; online retraining is an "
-            "in-process feature)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.crash_after is not None and args.crash_after < 1:
-        print(
-            f"error: --crash-after ({args.crash_after}) must be >= 1",
-            file=sys.stderr,
-        )
-        return 1
-    if args.value_churn is not None and args.value_churn < 2:
-        print(
-            f"error: --value-churn ({args.value_churn}) must be >= 2 "
-            f"(one base build plus at least one value update)",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.value_churn is None
-        and args.fan_in is None
-        and args.requests < args.matrices
-    ):
-        print(
-            f"error: --requests ({args.requests}) must be >= --matrices "
-            f"({args.matrices}) so every matrix is requested at least once",
-            file=sys.stderr,
-        )
-        return 1
-
     faults = None
     if args.faults:
         try:
@@ -543,503 +504,115 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             print(f"error: bad --faults spec: {exc}", file=sys.stderr)
             return 1
 
-    backend = _backend(args.platform)
     print(f"training tuner (scale {args.train_scale}, {args.platform})...")
     tuner = SMAT.train(
         generate_collection(
             seed=args.seed, scale=args.train_scale, size_scale=0.4
         ),
-        backend=backend,
+        backend=_backend(args.platform),
     )
-    from dataclasses import replace as _dc_replace
-
+    overrides = {}
     if args.tune_budget is not None:
-        tuner.config = _dc_replace(
-            tuner.config, tune_budget_units=args.tune_budget
-        )
+        overrides["tune_budget_units"] = args.tune_budget
     if args.kernel_backend != "generic":
         # Let the tuner specialize during decide() (budget-charged); the
         # engine's own backend pass is then a no-op that just counts.
-        tuner.config = _dc_replace(
-            tuner.config, kernel_backend=args.kernel_backend
-        )
+        overrides["kernel_backend"] = args.kernel_backend
     if args.online_retrain:
         # Force every cold decision through execute-and-measure so the
         # replay generates labelled records fast, and retrain after a
         # handful of them — the point is to observe a hot-swap, not to
         # win the benchmark.
-        tuner.config = _dc_replace(tuner.config, confidence_threshold=1.0)
-        tuner = OnlineSmat(
-            tuner, retrain_every=max(2, args.matrices // 4)
-        )
+        overrides["confidence_threshold"] = 1.0
+    tuner.config = replace(tuner.config, **overrides)
+    if args.online_retrain:
+        tuner = OnlineSmat(tuner, retrain_every=max(2, args.matrices // 4))
     elif args.online:
         tuner = OnlineSmat(tuner)
 
     if args.structure_churn is not None:
-        return _serve_bench_structure_churn(args, tuner, faults)
-    pool = build_matrix_pool(args.matrices, seed=args.seed)
-    if args.fan_in is not None:
-        return _serve_bench_fan_in(args, tuner, pool, faults)
-    if args.value_churn is not None:
-        pool = value_churn_pool(pool, args.value_churn, seed=args.seed)
-        schedule = churn_schedule(
-            args.matrices, args.value_churn, seed=args.seed
+        steps = args.structure_churn
+        serves = max(1, args.requests // steps)
+        ops = evolving_graph_ops(
+            args.churn_nodes, steps, serves, args.churn_fraction,
+            seed=args.seed,
         )
     else:
-        schedule = popularity_schedule(
-            args.matrices, args.requests, seed=args.seed
-        )
-    if args.cluster:
-        return _serve_bench_cluster(args, tuner, pool, schedule)
-    config = ServeConfig(
-        workers=args.workers,
-        cache_entries=args.cache_entries,
-        cache_bytes=args.cache_bytes,
-        default_deadline=args.deadline,
-        max_retries=args.max_retries,
-        breaker_threshold=args.breaker_threshold,
-        structure_cache=not args.no_structure_cache,
-        kernel_backend=args.kernel_backend,
-    )
-    if args.value_churn is not None:
-        print(
-            f"replaying value churn: {args.matrices} structures x "
-            f"{args.value_churn} value updates = {len(schedule)} requests "
-            f"({args.clients} clients, {args.workers} workers, tier-2 "
-            f"{'off' if args.no_structure_cache else 'on'}"
-            + (f", {len(faults.rules)} fault rules" if faults else "")
-            + ")..."
-        )
-    else:
-        print(
-            f"replaying {args.requests} requests over {args.matrices} "
-            f"matrices ({args.clients} clients, {args.workers} workers"
-            + (f", {len(faults.rules)} fault rules" if faults else "")
-            + ")..."
-        )
-    tracer = None
-    engine = ServingEngine(tuner, config, faults=faults)
-    if args.trace is not None:
-        from repro import obs
-
-        tracer = obs.Tracer(sink=obs.metrics_sink(engine.metrics))
-    with _maybe_installed(tracer):
-        with engine:
-            report = replay(
-                engine, pool, schedule, clients=args.clients, seed=args.seed
-            )
-            scoreboard = engine.scoreboard()
-            counters = engine.metrics.snapshot()["counters"]
-    if tracer is not None:
-        from repro.obs.export import write_chrome_trace
-        from repro.obs.report import overhead_report
-
-        roots = tracer.roots()
-        events = write_chrome_trace(roots, args.trace)
-        print()
-        print(overhead_report(roots).describe())
-        print(f"wrote {events} trace events -> {args.trace}")
-
-    print()
-    print(scoreboard)
-    print()
-    print(f"served     : {report.requests} requests "
-          f"in {report.wall_seconds:.2f}s "
-          f"({report.throughput_rps:.0f} req/s)")
-    print(f"cache hits : {report.cache_hit_rate:.1%} of requests")
-    print(f"verified   : {report.requests - report.mismatches}/"
-          f"{report.requests} products match the reference kernel")
-    print(f"resilience : {counters['degraded_requests']} degraded, "
-          f"{counters['retries']} retries, "
-          f"{counters['deadline_exceeded']} deadline-expired")
-    print(f"refreshes  : {int(counters['plans_refreshed'])} plans "
-          f"value-refreshed "
-          f"({int(counters['structure_hits'])} tier-2 structure hits, "
-          f"{int(counters['plan_refresh_failures'])} failures)")
-    if args.tune_budget is not None:
-        print(f"cascade    : {int(counters['cascade_cheap_hits'])} cheap, "
-              f"{int(counters['cascade_full_hits'])} full, "
-              f"{int(counters['cascade_measure_decisions'])} measured, "
-              f"{int(counters['cascade_floor_decisions'])} floored "
-              f"(budget {args.tune_budget:g} CSR-SpMV units)")
-    if args.kernel_backend != "generic":
-        from repro.kernels import codegen_stats
-
-        stats = codegen_stats()
-        print(f"codegen    : {int(counters['codegen_kernels'])} plans on "
-              f"generated kernels, "
-              f"{int(counters['codegen_kept_generic'])} kept generic, "
-              f"{int(counters['codegen_fallbacks'])} compile fallbacks "
-              f"({stats['compiles']} compiles, {stats['cache_hits']} "
-              f"cache hits)")
-    if args.online:
-        print(f"online     : {tuner.observations} fallback records, "
-              f"{tuner.retrain_count} retrains")
-    if args.online_retrain:
-        swaps = int(counters["ruleset_swaps"])
-        print(f"hot-swap   : {swaps} ruleset swaps observed by the "
-              f"engine (model epoch {tuner.model_epoch})")
-    if report.mismatches:
-        print(f"error: {report.mismatches} product mismatches",
-              file=sys.stderr)
-        return 1
-    if report.errors:
-        # Under chaos replay failed requests are the experiment, not a
-        # broken benchmark: report them and keep exit 0 so fault sweeps
-        # can be scripted.  Without --faults any failure is a real error.
-        print(f"{'note' if faults else 'error'}: {len(report.errors)} "
-              f"requests failed ({report.errors[0]!r})",
-              file=sys.stderr)
-        if not faults:
-            return 1
-    if args.online_retrain:
-        # The closed loop only counts as demonstrated if a retrain
-        # actually produced a new ruleset AND the running engine served
-        # at least one decision under it mid-replay.
-        if tuner.retrain_count == 0:
-            print("error: --online-retrain replay finished without a "
-                  "successful retrain (no ruleset was ever produced)",
-                  file=sys.stderr)
-            return 1
-        if int(counters["ruleset_swaps"]) == 0:
-            print("error: --online-retrain replay finished without the "
-                  "engine observing a ruleset hot-swap (retrained model "
-                  "never reached a live decision)",
-                  file=sys.stderr)
-            return 1
-    return 0
-
-
-def _serve_bench_structure_churn(args, tuner, faults) -> int:
-    """The --structure-churn arm of serve-bench: an evolving graph.
-
-    One power-law graph streams through the engine while its edge set
-    churns; every delta runs the plan-migration path (patch / refresh /
-    retune) and every served product is verified against the current
-    structure's reference kernel.  Exits non-zero unless at least one
-    delta avoided a full retune — the scenario exists to prove the
-    delta path works, so a replay that silently retuned everything is
-    a failure, not a slow success.
-    """
-    from repro.serve import ServeConfig, ServingEngine, replay_structure_churn
-
-    steps = args.structure_churn
-    serves_per_step = max(1, args.requests // steps)
-    config = ServeConfig(
-        workers=args.workers,
-        cache_entries=args.cache_entries,
-        cache_bytes=args.cache_bytes,
-        default_deadline=args.deadline,
-        max_retries=args.max_retries,
-        breaker_threshold=args.breaker_threshold,
-        structure_cache=not args.no_structure_cache,
-        kernel_backend=args.kernel_backend,
-    )
-    print(
-        f"replaying structure churn: {args.churn_nodes}-node power-law "
-        f"graph, {steps} steps x {serves_per_step} serves, "
-        f"{args.churn_fraction:.1%} edge churn per step"
-        + (f", {len(faults.rules)} fault rules" if faults else "")
-        + "..."
-    )
-    tracer = None
-    engine = ServingEngine(tuner, config, faults=faults)
-    if args.trace is not None:
-        from repro import obs
-
-        tracer = obs.Tracer(sink=obs.metrics_sink(engine.metrics))
-    with _maybe_installed(tracer):
-        with engine:
-            report = replay_structure_churn(
-                engine,
-                nodes=args.churn_nodes,
-                steps=steps,
-                serves_per_step=serves_per_step,
-                delta_fraction=args.churn_fraction,
-                seed=args.seed,
-            )
-            scoreboard = engine.scoreboard()
-            counters = engine.metrics.snapshot()["counters"]
-    if tracer is not None:
-        from repro.obs.export import write_chrome_trace
-        from repro.obs.report import overhead_report
-
-        roots = tracer.roots()
-        events = write_chrome_trace(roots, args.trace)
-        print()
-        print(overhead_report(roots).describe())
-        print(f"wrote {events} trace events -> {args.trace}")
-
-    policies = report.policy_counts
-    print()
-    print(scoreboard)
-    print()
-    print(f"served     : {report.requests} requests "
-          f"in {report.wall_seconds:.2f}s "
-          f"({report.throughput_rps:.0f} req/s)")
-    print(f"verified   : {report.requests - report.mismatches}/"
-          f"{report.requests} products match the current structure")
-    print(f"deltas     : {int(counters['deltas_applied'])} applied — "
-          f"{policies['patch']} patched in place, "
-          f"{policies['refresh']} operand-refreshed, "
-          f"{policies['retune']} retuned")
-    print(f"cache      : {int(counters['plans_invalidated'])} stale plans "
-          f"invalidated, {int(counters['plans_cached'])} cached")
-
-    if args.bench_json is not None:
-        section = {
-            "nodes": args.churn_nodes,
-            "steps": steps,
-            "serves_per_step": serves_per_step,
-            "churn_fraction": args.churn_fraction,
-            "requests": report.requests,
-            "mismatches": report.mismatches,
-            "failed_requests": len(report.errors),
-            "deltas_applied": int(counters["deltas_applied"]),
-            "delta_patches": policies["patch"],
-            "delta_refreshes": policies["refresh"],
-            "delta_retunes": policies["retune"],
-            "plans_invalidated": int(counters["plans_invalidated"]),
-            "throughput_rps": report.throughput_rps,
-        }
-        _merge_bench_json(args.bench_json, "structure_churn", section)
-        print(f"wrote serve/structure_churn section -> {args.bench_json}")
-
-    if report.mismatches:
-        print(f"error: {report.mismatches} product mismatches",
-              file=sys.stderr)
-        return 1
-    if report.errors:
-        print(f"{'note' if faults else 'error'}: {len(report.errors)} "
-              f"requests failed ({report.errors[0]!r})", file=sys.stderr)
-        if not faults:
-            return 1
-    if not report.deltas:
-        print("error: structure-churn replay applied zero deltas",
-              file=sys.stderr)
-        return 1
-    if report.delta_hits == 0:
-        print("error: every delta fell back to a full retune — the "
-              "patch/refresh migration path never succeeded",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _serve_bench_fan_in(args, tuner, pool, faults) -> int:
-    """The --fan-in arm of serve-bench: batched vs unbatched bursts.
-
-    The same seeded burst workload is replayed twice through identically
-    configured engines except for the batching knobs, so the throughput
-    ratio isolates exactly what the SpMM fast path buys.
-    """
-    from repro.serve import ServeConfig, ServingEngine, replay_fan_in
-
-    bursts = max(1, args.requests // args.fan_in)
-    max_rhs = (
-        args.max_batch_rhs if args.max_batch_rhs is not None else args.fan_in
-    )
-
-    def config(batched: bool) -> ServeConfig:
-        return ServeConfig(
-            workers=args.workers,
-            cache_entries=args.cache_entries,
-            cache_bytes=args.cache_bytes,
-            default_deadline=args.deadline,
-            max_retries=args.max_retries,
-            breaker_threshold=args.breaker_threshold,
-            structure_cache=not args.no_structure_cache,
-            batch_window=args.batch_window if batched else 0.0,
-            max_batch_rhs=max_rhs if batched else 1,
-            kernel_backend=args.kernel_backend,
-        )
-
-    def run(batched: bool, tracer=None):
-        engine = ServingEngine(tuner, config(batched), faults=faults)
-        if tracer is not None:
-            from repro import obs
-
-            tracer.sink = obs.metrics_sink(engine.metrics)
-        with _maybe_installed(tracer):
-            with engine:
-                report = replay_fan_in(
-                    engine, pool, bursts, args.fan_in, seed=args.seed
+        pool = build_matrix_pool(args.matrices, seed=args.seed)
+        if args.fan_in is not None:
+            bursts = max(1, args.requests // args.fan_in)
+            ops = fan_in_ops(pool, bursts, args.fan_in, seed=args.seed)
+        else:
+            if args.value_churn is not None:
+                pool = value_churn_pool(pool, args.value_churn, args.seed)
+                schedule = churn_schedule(
+                    args.matrices, args.value_churn, seed=args.seed
                 )
-                counters = engine.metrics.snapshot()["counters"]
-        return report, counters
+            else:
+                schedule = popularity_schedule(
+                    args.matrices, args.requests, seed=args.seed
+                )
+            ops = schedule_ops(pool, schedule, args.clients, args.seed)
+    total = sum(len(op.xs) for client in ops for op in client
+                if isinstance(op, Burst))
 
-    total = bursts * args.fan_in
-    print(f"replaying {bursts} bursts x {args.fan_in} fan-in = {total} "
-          f"requests over {len(pool)} matrices, unbatched "
-          f"(max_batch_rhs 1)...")
-    unbatched, _ = run(batched=False)
-    print(f"unbatched  : {unbatched.requests} requests in "
-          f"{unbatched.wall_seconds:.2f}s "
-          f"({unbatched.throughput_rps:.0f} req/s)")
-
-    tracer = None
-    if args.trace is not None:
-        from repro import obs
-
-        tracer = obs.Tracer()
-    print(f"replaying the same bursts batched (window "
-          f"{args.batch_window}s, max_batch_rhs {max_rhs})...")
-    batched, counters = run(batched=True, tracer=tracer)
-    if tracer is not None:
-        from repro.obs.export import write_chrome_trace
-        from repro.obs.report import overhead_report
-
-        roots = tracer.roots()
-        events = write_chrome_trace(roots, args.trace)
-        print()
-        print(overhead_report(roots).describe())
-        print(f"wrote {events} trace events -> {args.trace}")
-
-    batches = int(counters.get("spmm_batches_total", 0))
-    batched_reqs = int(counters.get("spmm_requests_batched", 0))
-    dropped = total - batched.requests - len(batched.errors)
-    speedup = (
-        batched.throughput_rps / unbatched.throughput_rps
-        if unbatched.throughput_rps > 0
-        else 0.0
+    config = ServeConfig(
+        # A shard engine serves one request at a time and the dispatcher
+        # owns the deadline.
+        workers=1 if args.cluster else args.workers,
+        cache_entries=args.cache_entries,
+        default_deadline=None if args.cluster else args.deadline,
+        max_retries=args.max_retries,
+        breaker_threshold=args.breaker_threshold,
+        structure_cache=not args.no_structure_cache,
+        max_batch_rhs=args.fan_in or 1,
+        # A plain string: codegen artifacts are regenerated worker-side
+        # from structure, keeping the cluster spec pickle descriptor-only.
+        kernel_backend=args.kernel_backend,
     )
 
-    print()
-    print(f"batched    : {batched.requests} requests in "
-          f"{batched.wall_seconds:.2f}s "
-          f"({batched.throughput_rps:.0f} req/s)")
-    print(f"verified   : {batched.requests - batched.mismatches}/"
-          f"{batched.requests} products match the reference kernel")
-    print(f"batching   : {batches} SpMM batches covering {batched_reqs} "
-          f"requests "
-          f"(mean width {batched_reqs / batches if batches else 0.0:.1f})")
-    print(f"speedup    : {speedup:.2f}x throughput vs unbatched")
-
-    if args.bench_json is not None:
-        section = {
-            "fan_in": args.fan_in,
-            "bursts": bursts,
-            "requests": total,
-            "matrices": len(pool),
-            "workers": args.workers,
-            "batch_window": args.batch_window,
-            "max_batch_rhs": max_rhs,
-            "mismatches": batched.mismatches,
-            "failed_requests": len(batched.errors),
-            "dropped_requests": dropped,
-            "spmm_batches_total": batches,
-            "spmm_requests_batched": batched_reqs,
-            "batched_throughput_rps": batched.throughput_rps,
-            "unbatched_throughput_rps": unbatched.throughput_rps,
-            "speedup_vs_unbatched": speedup,
-        }
-        _merge_bench_json(args.bench_json, "fan_in", section)
-        print(f"wrote serve/fan_in section -> {args.bench_json}")
-
-    if batched.mismatches:
-        print(f"error: {batched.mismatches} product mismatches",
-              file=sys.stderr)
-        return 1
-    if dropped:
-        print(f"error: {dropped} requests dropped without a reply",
-              file=sys.stderr)
-        return 1
-    if max_rhs > 1 and batches == 0:
-        print("error: batching enabled but no SpMM batch was executed "
-              "(spmm_batches_total == 0)", file=sys.stderr)
-        return 1
-    if batched.errors or unbatched.errors:
-        errs = batched.errors or unbatched.errors
-        print(f"{'note' if faults else 'error'}: {len(errs)} requests "
-              f"failed ({errs[0]!r})", file=sys.stderr)
-        if not faults:
-            return 1
-    return 0
-
-
-def _serve_bench_cluster(args, tuner, pool, schedule) -> int:
-    """The --cluster arm of serve-bench: replay against repro.cluster."""
-    import os
-
-    from repro.cluster import ClusterConfig, ClusterDispatcher, WorkerSpec
-    from repro.serve import ServeConfig, replay
-
-    cpu_count = os.cpu_count() or 1
-    if cpu_count < 2 and args.workers > 1:
-        # Shard processes time-slice one core: throughput numbers only
-        # measure correctness parity, never a parallel speedup.
-        print(
-            f"warning: host has {cpu_count} cpu; {args.workers} shard "
-            f"processes will time-slice it, so throughput figures are "
-            f"parity-only (no parallel speedup is measurable)",
-            file=sys.stderr,
+    def target(workers: int, serve_config: ServeConfig):
+        if not args.cluster:
+            return ServingEngine(tuner, serve_config, faults=faults)
+        spec = WorkerSpec(
+            tuner=tuner,
+            config=serve_config,
+            fault_specs=tuple(args.faults or ()),
+            fault_seed=args.fault_seed,
+            crash_after=args.crash_after,
         )
-
-    spec = WorkerSpec(
-        tuner=tuner,
-        config=ServeConfig(
-            workers=1,
-            cache_entries=args.cache_entries,
-            cache_bytes=args.cache_bytes,
-            max_retries=args.max_retries,
-            breaker_threshold=args.breaker_threshold,
-            structure_cache=not args.no_structure_cache,
-            # A plain string: codegen artifacts are regenerated worker-side
-            # from structure, keeping the spec pickle descriptor-only.
-            kernel_backend=args.kernel_backend,
-        ),
-        fault_specs=tuple(args.faults or ()),
-        fault_seed=args.fault_seed,
-        crash_after=args.crash_after,
-    )
-
-    def run(workers, tracer=None):
-        cluster = ClusterDispatcher(
+        return ClusterDispatcher(
             spec,
             ClusterConfig(workers=workers, default_deadline=args.deadline),
         )
-        if tracer is not None:
-            from repro import obs
 
-            tracer.sink = obs.metrics_sink(cluster.metrics)
-        with _maybe_installed(tracer):
-            with cluster:
-                report = replay(
-                    cluster, pool, schedule,
-                    clients=args.clients, seed=args.seed,
-                )
-        # Scoreboard and merged worker metrics are read *after* stop():
-        # the final cumulative snapshots arrive on WorkerExit.
-        return cluster, report
+    def run(server, tracer=None):
+        traced = nullcontext() if tracer is None else obs.installed(tracer)
+        with traced, server:
+            return replay(server, ops)
 
+    # The --bench-json baseline: the same ops on one shard, or on an
+    # engine that never stacks a burst into an SpMM.
     baseline = None
-    if args.bench_json is not None and args.workers > 1:
-        print(f"replaying {len(schedule)} requests on the 1-shard "
+    baseline_name = "unbatched" if args.fan_in is not None else "1 shard"
+    if args.bench_json is not None and (
+        args.fan_in is not None or args.cluster and args.workers > 1
+    ):
+        print(f"replaying {total} requests on the {baseline_name} "
               f"baseline...")
-        _, baseline = run(1)
+        baseline = run(target(1, replace(config, max_batch_rhs=1)))
         print(f"baseline   : {baseline.requests} requests in "
               f"{baseline.wall_seconds:.2f}s "
               f"({baseline.throughput_rps:.0f} req/s)")
 
-    chaos = []
-    if args.faults:
-        chaos.append(f"{len(args.faults)} fault rules")
-    if args.crash_after is not None:
-        chaos.append(f"crash-after {args.crash_after}")
-    if args.deadline is not None:
-        chaos.append(f"deadline {args.deadline}s")
-    print(
-        f"replaying {len(schedule)} requests over {len(pool)} matrices "
-        f"({args.clients} clients, {args.workers} shard processes"
-        + (", " + ", ".join(chaos) if chaos else "")
-        + ")..."
-    )
+    print(f"replaying {total} requests: clients {len(ops)}, "
+          f"{'shard processes' if args.cluster else 'workers'} "
+          f"{args.workers}...")
+    server = target(args.workers, config)
     tracer = None
     if args.trace is not None:
-        from repro import obs
-
-        tracer = obs.Tracer()
-    cluster, report = run(args.workers, tracer=tracer)
+        tracer = obs.Tracer(sink=obs.metrics_sink(server.metrics))
+    report = run(server, tracer)
     if tracer is not None:
         from repro.obs.export import write_chrome_trace
         from repro.obs.report import overhead_report
@@ -1050,103 +623,168 @@ def _serve_bench_cluster(args, tuner, pool, schedule) -> int:
         print(overhead_report(roots).describe())
         print(f"wrote {events} trace events -> {args.trace}")
 
-    counters = cluster.metrics.snapshot()["counters"]
-    merged = cluster.worker_metrics() or {}
-    worker_counters = merged.get("counters", {})
-    pickled = int(counters["operand_bytes_pickled"])
-    dropped = len(schedule) - report.requests - len(report.errors)
+    # Read after stop(): shard engines send their final cumulative
+    # snapshots on exit, and under --cluster the engine counters are
+    # those shards' merged counters.
+    counters = server.metrics.snapshot()["counters"]
+    served = counters
+    if args.cluster:
+        served = (server.worker_metrics() or {}).get("counters", {})
+
+    def count(name: str) -> int:
+        return int(served.get(name, 0))
 
     print()
-    print(cluster.scoreboard())
+    print(server.scoreboard())
     print()
     print(f"served     : {report.requests} requests "
           f"in {report.wall_seconds:.2f}s "
           f"({report.throughput_rps:.0f} req/s)")
-    print(f"cache hits : {report.cache_hit_rate:.1%} of requests")
     print(f"verified   : {report.requests - report.mismatches}/"
           f"{report.requests} products match the reference kernel")
-    print(f"zero-copy  : {pickled} operand bytes pickled on the hot path")
-    print(f"repair     : {int(counters['worker_crashes'])} crashes, "
-          f"{int(counters['workers_respawned'])} respawns, "
-          f"{int(counters['redispatches'])} re-dispatches, "
-          f"{int(counters['plans_rewarmed'])} plans re-warmed")
-    print(f"resilience : {int(counters['degraded_local'])} degraded "
-          f"locally, "
-          f"{int(worker_counters.get('degraded_requests', 0))} degraded "
-          f"in shard, "
-          f"{int(worker_counters.get('retries', 0))} retries, "
-          f"{int(worker_counters.get('deadline_exceeded', 0))} "
-          f"deadline-expired")
-    print(f"dropped    : {dropped} requests")
-    if baseline is not None and baseline.throughput_rps > 0:
-        print(f"speedup    : {report.throughput_rps / baseline.throughput_rps:.2f}x "
-              f"throughput vs 1 shard "
-              f"(host has {os.cpu_count() or 1} cpu)")
+    print(f"failed     : {len(report.errors)} requests, {report.dropped} "
+          f"dropped without a reply")
+    pickled = int(counters.get("operand_bytes_pickled", 0))
+    if args.cluster:
+        print(f"zero-copy  : {pickled} operand bytes pickled on the hot "
+              f"path")
+    batches = count("spmm_batches_total")
+    batched = count("spmm_requests_batched")
+    if args.fan_in is not None:
+        print(f"batching   : {batches} SpMM batches covering {batched} "
+              f"requests "
+              f"(mean width {batched / batches if batches else 0.0:.1f})")
+    migrated = count("delta_patches") + count("delta_refreshes")
+    if args.structure_churn is not None:
+        print(f"deltas     : {count('deltas_applied')} applied — "
+              f"{count('delta_patches')} patched in place, "
+              f"{count('delta_refreshes')} operand-refreshed, "
+              f"{count('delta_retunes')} retuned")
+    if args.online:
+        print(f"online     : {tuner.observations} fallback records, "
+              f"{tuner.retrain_count} retrains")
+    if args.online_retrain:
+        print(f"hot-swap   : {count('ruleset_swaps')} ruleset swaps "
+              f"observed by the engine (model epoch {tuner.model_epoch})")
+    cpu_count = os.cpu_count() or 1
+    speedup = 1.0
+    if baseline is not None:
+        speedup = (report.throughput_rps / baseline.throughput_rps
+                   if baseline.throughput_rps > 0 else 0.0)
+        print(f"speedup    : {speedup:.2f}x throughput vs {baseline_name}"
+              f" (host has {cpu_count} cpu)")
 
     if args.bench_json is not None:
         section = {
-            "workers": args.workers,
-            "clients": args.clients,
-            "requests": len(schedule),
-            "matrices": len(pool),
-            "wall_seconds": report.wall_seconds,
-            "throughput_rps": report.throughput_rps,
-            "cache_hit_rate": report.cache_hit_rate,
             "mismatches": report.mismatches,
             "failed_requests": len(report.errors),
-            "dropped_requests": dropped,
-            "operand_bytes_pickled": pickled,
-            "plans_published": int(counters["plans_published"]),
-            "worker_crashes": int(counters["worker_crashes"]),
-            "workers_respawned": int(counters["workers_respawned"]),
-            "redispatches": int(counters["redispatches"]),
-            "plans_rewarmed": int(counters["plans_rewarmed"]),
-            "degraded_local": int(counters["degraded_local"]),
-            "chaos": {
-                "faults": list(args.faults or []),
-                "crash_after": args.crash_after,
-                "deadline": args.deadline,
-            },
-            "cpu_count": cpu_count,
-            "parity_only": cpu_count < 2,
         }
-        if baseline is not None:
-            section["baseline_1_worker"] = {
-                "wall_seconds": baseline.wall_seconds,
-                "throughput_rps": baseline.throughput_rps,
-            }
-            section["speedup_vs_1_worker"] = (
-                report.throughput_rps / baseline.throughput_rps
-                if baseline.throughput_rps > 0
-                else 0.0
+        if args.cluster:
+            name = "sharded"
+            section.update(
+                workers=args.workers,
+                clients=args.clients,
+                requests=total,
+                matrices=args.matrices * (args.value_churn or 1),
+                wall_seconds=report.wall_seconds,
+                throughput_rps=report.throughput_rps,
+                cache_hit_rate=report.cache_hit_rate,
+                dropped_requests=report.dropped,
+                operand_bytes_pickled=pickled,
+                chaos={
+                    "faults": list(args.faults or []),
+                    "crash_after": args.crash_after,
+                    "deadline": args.deadline,
+                },
+                # Shard processes time-slicing one core measure
+                # correctness parity, never a parallel speedup.
+                cpu_count=cpu_count,
+                parity_only=cpu_count < 2,
+                speedup_vs_1_worker=speedup,
             )
-        elif args.workers == 1:
-            section["speedup_vs_1_worker"] = 1.0
-        _merge_bench_json(args.bench_json, "sharded", section)
-        print(f"wrote serve/sharded section -> {args.bench_json}")
+            for key in ("plans_published", "worker_crashes",
+                        "workers_respawned", "redispatches",
+                        "plans_rewarmed", "degraded_local"):
+                section[key] = int(counters[key])
+            if baseline is not None:
+                section["baseline_1_worker"] = {
+                    "wall_seconds": baseline.wall_seconds,
+                    "throughput_rps": baseline.throughput_rps,
+                }
+        elif args.fan_in is not None:
+            name = "fan_in"
+            section.update(
+                fan_in=args.fan_in,
+                bursts=bursts,
+                requests=total,
+                matrices=args.matrices,
+                workers=args.workers,
+                max_batch_rhs=args.fan_in,
+                dropped_requests=report.dropped,
+                spmm_batches_total=batches,
+                spmm_requests_batched=batched,
+                batched_throughput_rps=report.throughput_rps,
+                unbatched_throughput_rps=baseline.throughput_rps,
+                speedup_vs_unbatched=speedup,
+            )
+        else:
+            name = "structure_churn"
+            section.update(
+                nodes=args.churn_nodes,
+                steps=steps,
+                serves_per_step=serves,
+                churn_fraction=args.churn_fraction,
+                requests=report.requests,
+                throughput_rps=report.throughput_rps,
+                plans_invalidated=count("plans_invalidated"),
+            )
+            for key in ("deltas_applied", "delta_patches",
+                        "delta_refreshes", "delta_retunes"):
+                section[key] = count(key)
+        _merge_bench_json(args.bench_json, name, section)
+        print(f"wrote serve/{name} section -> {args.bench_json}")
 
-    if report.mismatches:
-        print(f"error: {report.mismatches} product mismatches",
-              file=sys.stderr)
-        return 1
-    if pickled:
-        print(f"error: zero-copy invariant violated "
-              f"({pickled} operand bytes pickled)", file=sys.stderr)
-        return 1
-    if dropped:
-        print(f"error: {dropped} requests dropped without a reply",
-              file=sys.stderr)
-        return 1
-    if report.errors:
-        # Same contract as the in-process path: under injected chaos
-        # (faults, crashes, deadlines) failed requests are the
-        # experiment; without chaos any failure is a real error.
-        print(f"{'note' if chaos else 'error'}: {len(report.errors)} "
-              f"requests failed ({report.errors[0]!r})",
-              file=sys.stderr)
-        if not chaos:
-            return 1
-    return 0
+    replays = [r for r in (baseline, report) if r is not None]
+    mismatches = sum(r.mismatches for r in replays)
+    dropped = sum(r.dropped for r in replays)
+    errors = [exc for r in replays for exc in r.errors]
+    failed = (f"{len(errors)} requests failed ({errors[0]!r})"
+              if errors else "")
+    # Under injected chaos (faults, worker crashes) failed requests are
+    # the experiment, so they are only a note.
+    chaos = faults is not None or args.crash_after is not None
+    if failed and chaos:
+        print(f"note: {failed}", file=sys.stderr)
+    churn = args.structure_churn is not None
+    retrain = args.online_retrain
+    problems = [message for broken, message in (
+        (mismatches, f"{mismatches} product mismatches"),
+        (dropped, f"{dropped} requests dropped without a reply"),
+        (failed and not chaos, failed),
+        (pickled, f"zero-copy invariant violated ({pickled} operand "
+                  f"bytes pickled)"),
+        ((args.fan_in or 0) >= 2 and batches == 0,
+         "batching enabled but no SpMM batch was executed "
+         "(spmm_batches_total == 0)"),
+        (churn and not report.deltas,
+         "structure-churn replay applied zero deltas"),
+        (churn and report.deltas and migrated == 0,
+         "every delta fell back to a full retune — the patch/refresh "
+         "migration path never succeeded"),
+        # The closed loop only counts as demonstrated if a retrain
+        # produced a new ruleset AND the running engine served at least
+        # one decision under it mid-replay.
+        (retrain and tuner.retrain_count == 0,
+         "--online-retrain replay finished without a successful retrain "
+         "(no ruleset was ever produced)"),
+        (retrain and tuner.retrain_count and count("ruleset_swaps") == 0,
+         "--online-retrain replay finished without the engine observing "
+         "a ruleset hot-swap (retrained model never reached a live "
+         "decision)"),
+    ) if broken]
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def _merge_bench_json(path: Path, name: str, section: dict) -> None:
@@ -1169,17 +807,6 @@ def _merge_bench_json(path: Path, name: str, section: dict) -> None:
     serve[name] = section
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _maybe_installed(tracer):
-    """``obs.installed(tracer)`` or a no-op when tracing is off."""
-    import contextlib
-
-    if tracer is None:
-        return contextlib.nullcontext()
-    from repro import obs
-
-    return obs.installed(tracer)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

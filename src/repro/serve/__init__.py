@@ -55,14 +55,14 @@ from repro.serve.resilience import (
 )
 from repro.serve.workload import (
     ReplayReport,
-    StructureChurnReport,
     build_matrix_pool,
     churn_schedule,
     evolving_graph_delta,
+    evolving_graph_ops,
+    fan_in_ops,
     popularity_schedule,
     replay,
-    replay_fan_in,
-    replay_structure_churn,
+    schedule_ops,
     value_churn_pool,
 )
 
@@ -88,16 +88,16 @@ __all__ = [
     "ServeConfig",
     "ServeResult",
     "ServingEngine",
-    "StructureChurnReport",
     "StructureKey",
     "build_matrix_pool",
     "churn_schedule",
     "evolving_graph_delta",
+    "evolving_graph_ops",
+    "fan_in_ops",
     "fingerprint",
     "popularity_schedule",
     "replay",
-    "replay_fan_in",
-    "replay_structure_churn",
+    "schedule_ops",
     "structural_digest",
     "value_churn_pool",
 ]

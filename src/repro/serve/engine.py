@@ -75,7 +75,6 @@ from repro.errors import (
     ServeError,
 )
 from repro.features.incremental import DeltaFeatures
-from repro.formats.convert import convert
 from repro.formats.csr import CSRMatrix
 from repro.formats.delta import StructureDelta, apply_delta, patch_operand
 from repro.kernels.backends import get_backend
@@ -637,7 +636,7 @@ class ServingEngine:
     ...     print(engine.metrics.report())
 
     ``faults`` accepts a :class:`~repro.serve.faults.FaultPlan` that
-    wraps the decide/convert/refresh/execute seams for deterministic
+    wraps the decide/refresh/execute/spmm seams for deterministic
     chaos replay; production engines leave it None.
     """
 
@@ -1644,12 +1643,6 @@ class ServingEngine:
         stage_counter = _CASCADE_STAGE_COUNTER.get(decision.cascade_stage)
         if stage_counter is not None:
             self.metrics.counter(stage_counter).inc()
-        if decision.matrix is None:
-            if self.faults is not None:
-                self.faults.on_call("convert")
-            decision.matrix, _ = convert(
-                matrix, decision.format_name, fill_budget=None
-            )
         self._specialize_kernel(decision)
         self.metrics.counter("plans_built").inc()
         return CachedPlan(

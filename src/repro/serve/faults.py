@@ -1,8 +1,8 @@
 """Deterministic fault injection for the serving engine.
 
 A :class:`FaultPlan` wraps the seams where serving can fail — the tuner
-decision (``decide``), the format conversion (``convert``), the tier-2
-value refresh (``refresh``), the kernel (``execute``) and the batched
+decision (``decide``, which also converts the matrix), the tier-2 value
+refresh (``refresh``), the kernel (``execute``) and the batched
 multi-RHS pass (``spmm``) — and injects
 exceptions and latency according to a
 list of :class:`FaultRule` windows.  Determinism is the point: rules are
@@ -40,7 +40,7 @@ from repro.errors import ServeError, TransientError
 #: the engine's kernel-specialization step during a cold plan build; the
 #: engine absorbs the failure and serves the generic kernel (the one seam
 #: whose faults must never degrade a request or feed the breaker).
-SITES = ("decide", "convert", "refresh", "execute", "spmm", "codegen.compile")
+SITES = ("decide", "refresh", "execute", "spmm", "codegen.compile")
 
 #: What an injected fault does at its site.
 KINDS = ("transient", "fatal", "latency")

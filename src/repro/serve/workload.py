@@ -1,28 +1,30 @@
-"""Synthetic serving workloads and the replay driver behind serve-bench.
+"""Synthetic serving workloads and the one replay loop behind serve-bench.
 
 A serving workload is characterised by two distributions: *which* matrices
 recur (popularity — realistic traffic is heavily skewed, a few operators
 take most calls) and *what* requests arrive (a fresh operand vector per
 call).  ``build_matrix_pool`` draws structurally diverse matrices from the
-repo's synthetic collection generators; ``replay`` pushes a popularity-
-skewed request stream through a :class:`~repro.serve.ServingEngine` from
-several client threads and verifies every product against the reference
+repo's synthetic collection generators.  The builders turn a traffic shape
+into one list of *ops* per client — same-matrix bursts (:class:`Burst`)
+and structure deltas (:class:`Delta`) — and :func:`replay` runs those
+lists from client threads, verifying every product against the reference
 CSR kernel.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.collection import banded, graphs, grids, random_sparse
 from repro.features.incremental import DeltaFeatures
 from repro.formats.csr import CSRMatrix
-from repro.formats.delta import StructureDelta
-from repro.serve.engine import DeltaOutcome, ServeResult, ServingEngine
+from repro.formats.delta import StructureDelta, apply_delta
+from repro.serve.engine import DeltaOutcome, ServeResult
 from repro.types import INDEX_DTYPE
 
 
@@ -137,177 +139,79 @@ def popularity_schedule(
     return schedule
 
 
-@dataclass
-class ReplayReport:
-    """Outcome of one workload replay."""
+@dataclass(frozen=True)
+class Burst:
+    """Operand vectors for one matrix, submitted together by one client.
 
-    results: List[ServeResult]
-    mismatches: int
-    errors: List[BaseException]
-    wall_seconds: float
+    A width-1 burst is a plain request; a wider one reaches the engine in
+    one ``submit_batch`` call, so it can execute as a single SpMM.
+    """
 
-    @property
-    def requests(self) -> int:
-        return len(self.results)
-
-    @property
-    def throughput_rps(self) -> float:
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.requests / self.wall_seconds
-
-    @property
-    def cache_hit_rate(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(r.cache_hit for r in self.results) / len(self.results)
+    matrix: CSRMatrix
+    xs: Tuple[np.ndarray, ...]
 
 
-def replay(
-    engine: ServingEngine,
+@dataclass(frozen=True)
+class Delta:
+    """An edge insert/delete step applied to ``matrix``, the structure
+    current at that point of the client's op list."""
+
+    matrix: CSRMatrix
+    delta: StructureDelta
+
+
+#: One step of a client's op list.
+Op = Union[Burst, Delta]
+
+
+def schedule_ops(
     pool: Sequence[CSRMatrix],
     schedule: Sequence[int],
     clients: int = 4,
     seed: int = 99,
-    verify: bool = True,
-) -> ReplayReport:
-    """Drive ``schedule`` through ``engine`` from ``clients`` threads.
-
-    Each client owns a contiguous slice of the schedule and submits it
-    synchronously (one outstanding request per client), which is how real
-    callers use a shared engine.  With ``verify`` every result is checked
-    against the reference CSR kernel.
-    """
+) -> List[List[Op]]:
+    """One single SpMV per ``schedule`` slot (a :func:`popularity_schedule`
+    or :func:`churn_schedule` over ``pool``), split into ``clients``
+    contiguous slices.  Every matrix keeps one fixed operand vector, so
+    replays are bitwise reproducible."""
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
-    operands = _operands_for(pool, seed)
-    import time
-
-    slices = _split(schedule, clients)
-    results: List[List[ServeResult]] = [[] for _ in slices]
-    mismatch_counts = [0] * len(slices)
-    errors: List[BaseException] = []
-    errors_lock = threading.Lock()
-
-    def client(slot: int, indices: Sequence[int]) -> None:
-        for index in indices:
-            matrix, x = pool[index], operands[index]
-            try:
-                result = engine.spmv(matrix, x)
-            except BaseException as exc:  # collected, not raised: the
-                with errors_lock:        # report decides pass/fail
-                    errors.append(exc)
-                continue
-            results[slot].append(result)
-            # allclose, not array_equal: the tuned kernel may sum in a
-            # different order than the reference CSR loop.  (Bitwise
-            # equality *does* hold against direct SMAT.spmv calls, which
-            # run the same kernel — the stress test asserts that.)
-            if verify and not np.allclose(
-                result.y, matrix.spmv(x), atol=1e-9
-            ):
-                mismatch_counts[slot] += 1
-
-    threads = [
-        threading.Thread(target=client, args=(slot, indices), daemon=True)
-        for slot, indices in enumerate(slices)
+    rng = np.random.default_rng(seed)
+    xs = [rng.standard_normal(m.n_cols).astype(m.dtype) for m in pool]
+    chunk = max(1, -(-len(schedule) // clients))
+    return [
+        [Burst(pool[i], (xs[i],)) for i in schedule[start : start + chunk]]
+        for start in range(0, len(schedule), chunk)
     ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - started
-    return ReplayReport(
-        results=[r for bucket in results for r in bucket],
-        mismatches=sum(mismatch_counts),
-        errors=errors,
-        wall_seconds=wall,
-    )
 
 
-def replay_fan_in(
-    engine: ServingEngine,
+def fan_in_ops(
     pool: Sequence[CSRMatrix],
     bursts: int,
     fan_in: int,
     seed: int = 99,
-    verify: bool = True,
-) -> ReplayReport:
-    """Drive same-matrix request bursts through ``engine``.
+) -> List[List[Op]]:
+    """One client's same-matrix bursts: ``bursts`` rounds of ``fan_in``
+    fresh operand vectors each, round-robin over ``pool``.
 
-    The fan-in workload: ``bursts`` rounds, each submitting ``fan_in``
-    requests against *one* pool matrix (round-robin over the pool) in a
-    single :meth:`~repro.serve.engine.ServingEngine.submit_batch` call —
-    one caller's same-fingerprint burst.  Whether the engine actually
-    stacks them into an SpMM depends on its ``max_batch_rhs``; running the
-    same workload against a batched and an unbatched engine isolates
-    exactly the batching speedup.  Operand vectors are drawn from a
-    seeded generator, so two replays with the same seed see identical
-    requests.
+    Whether the engine stacks a burst into one SpMM depends on its
+    ``max_batch_rhs``; replaying the same ops against a batched and an
+    unbatched engine isolates exactly what batching buys.
     """
     if bursts < 1:
         raise ValueError(f"bursts must be >= 1, got {bursts}")
     if fan_in < 1:
         raise ValueError(f"fan_in must be >= 1, got {fan_in}")
     rng = np.random.default_rng(seed)
-    import time
-
-    results: List[ServeResult] = []
-    mismatches = 0
-    errors: List[BaseException] = []
-    started = time.perf_counter()
+    ops: List[Op] = []
     for burst in range(bursts):
         matrix = pool[burst % len(pool)]
-        xs = [
+        xs = tuple(
             rng.standard_normal(matrix.n_cols).astype(matrix.dtype)
             for _ in range(fan_in)
-        ]
-        try:
-            futures = engine.submit_batch(matrix, xs)
-        except BaseException as exc:  # collected, not raised: the
-            errors.append(exc)       # report decides pass/fail
-            continue
-        for x, future in zip(xs, futures):
-            try:
-                result = future.result()
-            except BaseException as exc:
-                errors.append(exc)
-                continue
-            results.append(result)
-            # allclose for the same reason as replay(): the batched
-            # kernel and the reference loop may sum in different orders.
-            if verify and not np.allclose(
-                result.y, matrix.spmv(x), atol=1e-9
-            ):
-                mismatches += 1
-    wall = time.perf_counter() - started
-    return ReplayReport(
-        results=results,
-        mismatches=mismatches,
-        errors=errors,
-        wall_seconds=wall,
-    )
-
-
-@dataclass
-class StructureChurnReport(ReplayReport):
-    """A :class:`ReplayReport` plus the delta-migration ledger."""
-
-    deltas: List[DeltaOutcome] = field(default_factory=list)
-
-    @property
-    def policy_counts(self) -> Dict[str, int]:
-        counts = {"patch": 0, "refresh": 0, "retune": 0}
-        for outcome in self.deltas:
-            counts[outcome.policy] = counts.get(outcome.policy, 0) + 1
-        return counts
-
-    @property
-    def delta_hits(self) -> int:
-        """Deltas that avoided a full retune (patched or refreshed)."""
-        counts = self.policy_counts
-        return counts["patch"] + counts["refresh"]
+        )
+        ops.append(Burst(matrix, xs))
+    return [ops]
 
 
 def evolving_graph_delta(
@@ -366,28 +270,24 @@ def evolving_graph_delta(
     )
 
 
-def replay_structure_churn(
-    engine: ServingEngine,
+def evolving_graph_ops(
     nodes: int = 600,
     steps: int = 20,
     serves_per_step: int = 8,
     delta_fraction: float = 0.02,
     seed: int = 2013,
-    verify: bool = True,
-) -> StructureChurnReport:
-    """Stream an evolving power-law graph through ``engine``.
+) -> List[List[Op]]:
+    """One client streaming an evolving power-law graph.
 
     The scenario the delta path exists for: one long-lived graph serving
     SpMV traffic (PageRank/HITS-style) while its edge set churns.  Each
-    of the ``steps`` rounds serves ``serves_per_step`` requests against
-    the current structure, then applies one
+    of the ``steps`` rounds serves ``serves_per_step`` single SpMVs
+    against the current structure, then applies one
     :func:`evolving_graph_delta` sized at ``delta_fraction`` of the
-    current nnz via :meth:`~repro.serve.ServingEngine
-    .apply_structure_delta`, with a :class:`DeltaFeatures` instance
-    maintained across the whole run so re-decisions stay O(delta).
-    Every served product is verified against the reference CSR kernel
-    of the *current* structure — a stale-plan hit after a delta shows up
-    as a mismatch, not silence.
+    current nnz.  Each post-delta structure is spliced here, ahead of
+    the replay, so every burst carries the matrix its products are
+    checked against — a stale-plan hit after a delta shows up as a
+    mismatch, not silence.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -403,67 +303,138 @@ def replay_structure_churn(
     matrix = graphs.power_law_graph(
         nodes, exponent=2.2, seed=int(rng.integers(0, 2**31 - 1))
     )
-    features = DeltaFeatures(matrix)
-    import time
-
-    results: List[ServeResult] = []
-    deltas: List[DeltaOutcome] = []
-    mismatches = 0
-    errors: List[BaseException] = []
-    started = time.perf_counter()
+    ops: List[Op] = []
     for step in range(steps):
         for _ in range(serves_per_step):
             x = rng.standard_normal(matrix.n_cols).astype(matrix.dtype)
-            try:
-                result = engine.spmv(matrix, x)
-            except BaseException as exc:  # collected, not raised: the
-                errors.append(exc)       # report decides pass/fail
-                continue
-            results.append(result)
-            if verify and not np.allclose(
-                result.y, matrix.spmv(x), atol=1e-9
-            ):
-                mismatches += 1
+            ops.append(Burst(matrix, (x,)))
         if step == steps - 1:
             break  # final round serves only; no trailing unserved delta
         churn = max(2, int(delta_fraction * matrix.nnz))
         delta = evolving_graph_delta(
             matrix, rng, inserts=churn - churn // 2, deletes=churn // 2
         )
-        try:
-            outcome = engine.apply_structure_delta(
-                matrix, delta, features=features
-            )
-        except BaseException as exc:
-            errors.append(exc)
-            continue
-        deltas.append(outcome)
-        matrix = outcome.matrix
-    wall = time.perf_counter() - started
-    return StructureChurnReport(
-        results=results,
-        mismatches=mismatches,
-        errors=errors,
-        wall_seconds=wall,
-        deltas=deltas,
+        ops.append(Delta(matrix, delta))
+        matrix, _ = apply_delta(matrix, delta)
+    return [ops]
+
+
+@dataclass
+class ReplayReport:
+    """Outcome of one replay."""
+
+    results: List[ServeResult]
+    mismatches: int
+    #: One entry per failed request — a burst refused at submit fails
+    #: every request in it — and one per failed delta.
+    errors: List[BaseException]
+    wall_seconds: float
+    deltas: List[DeltaOutcome] = field(default_factory=list)
+    #: Requests and deltas that neither answered nor failed (a client
+    #: thread died mid-list).
+    dropped: int = 0
+
+    @property
+    def requests(self) -> int:
+        return len(self.results)
+
+    @property
+    def throughput_rps(self) -> float:
+        if self.wall_seconds <= 0.0:
+            return 0.0
+        return self.requests / self.wall_seconds
+
+    @property
+    def cache_hit_rate(self) -> float:
+        if not self.results:
+            return 0.0
+        return sum(r.cache_hit for r in self.results) / len(self.results)
+
+
+def replay(
+    target,
+    clients: Sequence[Sequence[Op]],
+    verify: bool = True,
+) -> ReplayReport:
+    """Run each client's op list on its own thread against ``target``.
+
+    ``target`` is a :class:`~repro.serve.ServingEngine` or (for bursts
+    only) a :class:`~repro.cluster.ClusterDispatcher`.  A client runs its
+    ops in order and waits for a burst's products before its next op,
+    which is how real callers use a shared service.  A width-1 burst goes
+    through ``submit``, a wider one through ``submit_batch``; a delta goes
+    through ``apply_structure_delta`` with the run's one
+    :class:`DeltaFeatures`, so post-delta re-decisions stay O(delta).
+    With ``verify`` every product is checked against the reference CSR
+    kernel of its burst's matrix.
+    """
+    every_op = [op for ops in clients for op in ops]
+    delta_ops = [op for op in every_op if isinstance(op, Delta)]
+    features = DeltaFeatures(delta_ops[0].matrix) if delta_ops else None
+    expected = len(delta_ops) + sum(
+        len(op.xs) for op in every_op if isinstance(op, Burst)
     )
+    results: List[List[ServeResult]] = [[] for _ in clients]
+    deltas: List[List[DeltaOutcome]] = [[] for _ in clients]
+    errors: List[List[BaseException]] = [[] for _ in clients]
+    mismatch_counts = [0] * len(clients)
 
+    def client(slot: int, ops: Sequence[Op]) -> None:
+        # Failures are collected, not raised: the report decides pass/fail.
+        for op in ops:
+            if isinstance(op, Delta):
+                try:
+                    deltas[slot].append(
+                        target.apply_structure_delta(
+                            op.matrix, op.delta, features=features
+                        )
+                    )
+                except Exception as exc:
+                    errors[slot].append(exc)
+                continue
+            try:
+                if len(op.xs) == 1:
+                    futures = [target.submit(op.matrix, op.xs[0])]
+                else:
+                    futures = target.submit_batch(op.matrix, op.xs)
+            except Exception as exc:
+                errors[slot].extend([exc] * len(op.xs))
+                continue
+            for x, future in zip(op.xs, futures):
+                try:
+                    result = future.result()
+                except Exception as exc:
+                    errors[slot].append(exc)
+                    continue
+                results[slot].append(result)
+                # allclose, not array_equal: the tuned (or batched) kernel
+                # may sum in a different order than the reference CSR loop.
+                # (Bitwise equality *does* hold against direct SMAT.spmv
+                # calls, which run the same kernel — the stress test
+                # asserts that.)
+                if verify and not np.allclose(
+                    result.y, op.matrix.spmv(x), atol=1e-9
+                ):
+                    mismatch_counts[slot] += 1
 
-def _operands_for(
-    pool: Sequence[CSRMatrix], seed: int
-) -> List[np.ndarray]:
-    """One fixed operand vector per matrix (bitwise-reproducible replays)."""
-    rng = np.random.default_rng(seed)
-    return [
-        rng.standard_normal(matrix.n_cols).astype(matrix.dtype)
-        for matrix in pool
+    threads = [
+        threading.Thread(target=client, args=(slot, ops), daemon=True)
+        for slot, ops in enumerate(clients)
     ]
-
-
-def _split(schedule: Sequence[int], parts: int) -> List[List[int]]:
-    chunk = max(1, -(-len(schedule) // parts))
-    slices = [
-        list(schedule[i : i + chunk])
-        for i in range(0, len(schedule), chunk)
-    ]
-    return slices or [[]]
+    started = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    wall = time.perf_counter() - started
+    report = ReplayReport(
+        results=[r for bucket in results for r in bucket],
+        mismatches=sum(mismatch_counts),
+        errors=[e for bucket in errors for e in bucket],
+        wall_seconds=wall,
+        deltas=[d for bucket in deltas for d in bucket],
+    )
+    report.dropped = (
+        expected - report.requests - len(report.deltas) - len(report.errors)
+    )
+    return report

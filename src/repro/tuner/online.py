@@ -98,40 +98,6 @@ class OnlineSmat:
 
     def spmv(self, matrix: CSRMatrix, x):
         decision = self.decide(matrix)
-        if decision.matrix is None:
-            # Decisions deserialized from records (or degraded mid-build)
-            # carry no converted matrix; rebuild it under the *configured*
-            # fill budget — `fill_budget=None` here would happily pay a
-            # pathological DIA/ELL blow-up the tuner itself refuses.
-            from repro.errors import ConversionError
-            from repro.formats.convert import convert
-            from repro.types import FormatName
-
-            try:
-                decision.matrix, _ = convert(
-                    matrix,
-                    decision.format_name,
-                    fill_budget=self.smat.config.fill_budget,
-                )
-            except ConversionError:
-                # Same degrade path the tuner takes on a blown budget:
-                # run the CSR identity instead of a pathological fill.
-                decision = Decision(
-                    format_name=FormatName.CSR,
-                    kernel=self.smat.kernels.kernel_for(FormatName.CSR),
-                    confidence=decision.confidence,
-                    matched_rule=decision.matched_rule,
-                    used_fallback=decision.used_fallback,
-                    predicted_format=decision.predicted_format,
-                    measurements=decision.measurements,
-                    extraction_units=decision.extraction_units,
-                    conversion_units=decision.conversion_units,
-                    measurement_units=decision.measurement_units,
-                    degraded_to_csr=True,
-                    matrix=matrix,
-                    features=decision.features,
-                    cascade_stage=decision.cascade_stage,
-                )
         return decision.kernel(decision.matrix, x), decision
 
     # ------------------------------------------------------------------

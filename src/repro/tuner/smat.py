@@ -130,12 +130,7 @@ class SMAT:
     def prepare(self, matrix: CSRMatrix) -> PreparedSpMV:
         """Decide once, convert once; returns a reusable SpMV operator."""
         with obs.span("smat.prepare", nnz=int(matrix.nnz)):
-            decision = self.decide(matrix)
-            if decision.matrix is None:
-                decision.matrix, _ = convert(
-                    matrix, decision.format_name, fill_budget=None
-                )
-            return PreparedSpMV(decision)
+            return PreparedSpMV(self.decide(matrix))
 
     def spmv(
         self, matrix: CSRMatrix, x: np.ndarray

@@ -85,14 +85,7 @@ class LoggingSmat:
     def prepare(self, matrix):
         from repro.tuner.smat import PreparedSpMV
 
-        decision = self.decide(matrix)
-        if decision.matrix is None:  # pragma: no cover - decide sets it
-            from repro.formats.convert import convert
-
-            decision.matrix, _ = convert(
-                matrix, decision.format_name, fill_budget=None
-            )
-        return PreparedSpMV(decision)
+        return PreparedSpMV(self.decide(matrix))
 
     def spmv(self, matrix, x):
         prepared = self.prepare(matrix)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,87 @@ class TestServeBench:
         ])
         assert code == 1
         assert "must be >=" in capsys.readouterr().err
+
+
+def _serve_bench(capsys, *flags: str):
+    """Run a small serve-bench; returns (exit code, stdout, stderr)."""
+    code = main(["serve-bench", "--train-scale", "0.02", *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestServeBenchModes:
+    """Each serve-bench mode and the exit rule that guards it."""
+
+    FAN_IN = ("--fan-in", "4", "--matrices", "2", "--requests", "16")
+    CHURN = ("--structure-churn", "3", "--requests", "6",
+             "--churn-nodes", "60")
+
+    def test_fan_in_executes_spmm_batches(self, capsys) -> None:
+        code, out, err = _serve_bench(capsys, *self.FAN_IN)
+        assert code == 0, err
+        batches = re.search(r"batching\s*: (\d+) SpMM batches", out)
+        assert int(batches.group(1)) >= 1
+
+    def test_fan_in_without_a_batch_fails(self, capsys) -> None:
+        code, _, err = _serve_bench(
+            capsys, *self.FAN_IN, "--faults", "spmm,kind=fatal"
+        )
+        assert code == 1
+        assert "no SpMM batch" in err
+
+    def test_refused_burst_fails_every_request(self, capsys) -> None:
+        # A 300-wide burst exceeds the 256-slot queue and is refused at
+        # submit: each of its requests failed, none went unanswered.
+        code, out, err = _serve_bench(
+            capsys, "--fan-in", "300", "--matrices", "1", "--requests", "300"
+        )
+        assert code == 1
+        assert "300 requests failed (BackpressureError" in err
+        assert "dropped" not in err
+        assert re.search(r"failed\s*: 300 requests, 0 dropped", out)
+
+    def test_structure_churn_migrates_plans(self, capsys) -> None:
+        code, out, err = _serve_bench(capsys, *self.CHURN, "--matrices", "1")
+        assert code == 0, err
+        assert re.search(r"deltas\s*: 2 applied", out)
+        assert "6/6 products match" in out
+
+    def test_structure_churn_ignores_matrices(self, capsys) -> None:
+        code, _, err = _serve_bench(capsys, *self.CHURN)
+        assert code == 0, err
+
+    def test_structure_churn_all_retunes_fails(self, capsys) -> None:
+        code, _, err = _serve_bench(
+            capsys, *self.CHURN, "--matrices", "1", "--churn-fraction", "1.0"
+        )
+        assert code == 1
+        assert "every delta fell back to a full retune" in err
+
+    def test_value_churn_refreshes_plans(self, capsys) -> None:
+        code, out, err = _serve_bench(
+            capsys, "--matrices", "2", "--value-churn", "3"
+        )
+        assert code == 0, err
+        assert re.search(r"plans_refreshed\s+4\n", out)
+
+    @pytest.mark.timeout(120)
+    def test_cluster_pickles_no_operand_bytes(self, capsys) -> None:
+        code, out, err = _serve_bench(
+            capsys, "--cluster", "--workers", "1", "--matrices", "2",
+            "--requests", "4", "--clients", "1",
+        )
+        assert code == 0, err
+        assert re.search(r"zero-copy\s*: 0 operand bytes pickled", out)
+
+    def test_online_retrain_swaps_the_ruleset(self, capsys) -> None:
+        code, out, err = _serve_bench(
+            capsys, "--tune-budget", "32", "--online-retrain",
+            "--matrices", "10", "--requests", "200",
+        )
+        assert code == 0, err
+        swaps = re.search(r"hot-swap\s*: (\d+) ruleset swaps", out)
+        assert int(swaps.group(1)) >= 1
 
 
 class TestBenchPerf:

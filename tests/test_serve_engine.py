@@ -26,6 +26,7 @@ from repro.serve import (
     fingerprint,
     popularity_schedule,
     replay,
+    schedule_ops,
 )
 from repro.serve.engine import _Request, _SubmissionQueue
 from repro.tuner import SMAT, OnlineSmat, SmatConfig
@@ -365,21 +366,17 @@ class TestStress:
     def test_concurrent_mixed_workload(self, smat) -> None:
         pool = build_matrix_pool(20, seed=11, size_scale=0.5)
         schedule = popularity_schedule(len(pool), 240, seed=12)
-        from repro.serve.workload import _operands_for
-
-        operands = _operands_for(pool, seed=99)
+        ops = schedule_ops(pool, schedule, clients=4, seed=99)
         expected = {}
-        for matrix, x in zip(pool, operands):
-            y, _ = smat.spmv(matrix, x)
-            expected[fingerprint(matrix)] = y
+        for burst in (op for client in ops for op in client):
+            y, _ = smat.spmv(burst.matrix, burst.xs[0])
+            expected[fingerprint(burst.matrix)] = y
 
         extractions = EXTRACTION_EVENTS.count
         conversions = CONVERSION_EVENTS.count
         config = ServeConfig(workers=4, cache_entries=32)
         with ServingEngine(smat, config) as engine:
-            report = replay(
-                engine, pool, schedule, clients=4, seed=99, verify=False
-            )
+            report = replay(engine, ops, verify=False)
             stats = engine.cache.stats()
             metrics = engine.metrics.snapshot()["counters"]
 

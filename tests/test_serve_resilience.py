@@ -641,6 +641,8 @@ class TestFaultPlan:
     def test_rule_validation(self) -> None:
         with pytest.raises(ValueError, match="site"):
             FaultRule(site="nope")
+        with pytest.raises(ValueError, match="site"):
+            FaultRule(site="convert")  # decide() returns it converted
         with pytest.raises(ValueError, match="kind"):
             FaultRule(site="decide", kind="nope")
         with pytest.raises(ValueError, match="rate"):

@@ -234,60 +234,6 @@ class TestRetrainTrigger:
         assert online.retrain_count == 0
 
 
-class TestSpmvRebuild:
-    """ISSUE satellite: re-materializing a decision's missing conversion
-    must honour the configured fill budget (it used to pass
-    ``fill_budget=None`` and happily pay pathological blow-ups)."""
-
-    def fake_dia_decision(self, smat):
-        from repro.tuner.runtime import Decision
-        from repro.types import FormatName
-
-        return Decision(
-            format_name=FormatName.DIA,
-            kernel=smat.kernels.kernel_for(FormatName.DIA),
-            confidence=0.9,
-            matched_rule=None,
-            used_fallback=False,
-            predicted_format=FormatName.DIA,
-        )
-
-    def test_blown_budget_degrades_to_csr(self, smat) -> None:
-        from repro.types import FormatName
-
-        tuner = SMAT(smat.model, smat.kernels, smat.backend, SmatConfig())
-        online = OnlineSmat(tuner, retrain_every=1000)
-        # A uniform random matrix's DIA fill blows any sane budget; with
-        # the old fill_budget=None rebuild this would materialize it.
-        matrix = random_sparse.uniform_random(800, 800, 6.0, seed=2)
-        tuner.decide = lambda m, deadline=None: self.fake_dia_decision(
-            smat
-        )
-        x = np.ones(800)
-        y, decision = online.spmv(matrix, x)
-        np.testing.assert_allclose(y, matrix.spmv(x), atol=1e-9)
-        assert decision.format_name is FormatName.CSR
-        assert decision.degraded_to_csr
-        assert decision.predicted_format is FormatName.DIA
-
-    def test_feasible_rebuild_converts_under_budget(self, smat) -> None:
-        from repro.collection import banded
-        from repro.types import FormatName
-
-        tuner = SMAT(smat.model, smat.kernels, smat.backend, SmatConfig())
-        online = OnlineSmat(tuner, retrain_every=1000)
-        matrix = banded.banded_matrix(2500, 7, seed=3, spread=3)
-        tuner.decide = lambda m, deadline=None: self.fake_dia_decision(
-            smat
-        )
-        x = np.ones(matrix.n_cols)
-        y, decision = online.spmv(matrix, x)
-        np.testing.assert_allclose(y, matrix.spmv(x), atol=1e-9)
-        assert decision.format_name is FormatName.DIA
-        assert decision.matrix is not None
-        assert not decision.degraded_to_csr
-
-
 class TestCalibration:
     def test_calibrated_architecture_sane(self) -> None:
         result = calibrate_host(repeats=2)
