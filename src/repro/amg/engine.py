@@ -94,6 +94,9 @@ class SmatEngine:
         decision = self.smat.decide(matrix)
         seconds = 0.0
         if isinstance(self.smat.backend, SimulatedBackend):
+            # Priced from the registry kernel even when a compiled one
+            # serves: the simulated machine prices strategy sets, and a
+            # generated kernel's set carries no thread scaling.
             seconds = estimate_spmv_time(
                 self.smat.backend.arch,
                 decision.format_name,
@@ -103,7 +106,7 @@ class SmatEngine:
             )
         return PreparedOperator(
             matrix=decision.matrix,
-            kernel=decision.kernel,
+            kernel=decision.serving_kernel,
             seconds_per_apply=seconds,
             setup_units=decision.overhead_units,
         )

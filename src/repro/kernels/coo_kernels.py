@@ -9,8 +9,6 @@ from repro.kernels.base import register_kernel
 from repro.kernels.strategies import Strategy, strategy_set
 from repro.types import FormatName
 
-PARALLEL_CHUNKS = 12
-
 
 @register_kernel(FormatName.COO, strategy_set())
 def coo_basic(matrix: COOMatrix, x: np.ndarray) -> np.ndarray:
@@ -23,11 +21,17 @@ def coo_basic(matrix: COOMatrix, x: np.ndarray) -> np.ndarray:
 
 
 @register_kernel(FormatName.COO, strategy_set(Strategy.VECTORIZE))
+@register_kernel(
+    FormatName.COO, strategy_set(Strategy.VECTORIZE, Strategy.PARALLEL)
+)
 def coo_vectorized(matrix: COOMatrix, x: np.ndarray) -> np.ndarray:
     """Bulk gather-multiply then an unordered scatter-add.
 
     Works for arbitrary (even duplicate, unsorted) coordinates, the fully
-    general contract of the format.
+    general contract of the format.  Also registered as the PARALLEL
+    variant: an element partition gives every thread identical work
+    however skewed the rows are, and on the host that partition runs as
+    this one pass (the simulated machine model applies the scaling).
     """
     x = matrix.check_operand(x)
     y = np.zeros(matrix.n_rows, dtype=matrix.dtype)
@@ -58,31 +62,4 @@ def coo_segmented(matrix: COOMatrix, x: np.ndarray) -> np.ndarray:
         matrix.rows, np.arange(matrix.n_rows + 1, dtype=matrix.rows.dtype)
     )
     y[:] = csum[boundaries[1:]] - csum[boundaries[:-1]]
-    return y
-
-
-@register_kernel(
-    FormatName.COO, strategy_set(Strategy.VECTORIZE, Strategy.PARALLEL)
-)
-def coo_vectorized_parallel(matrix: COOMatrix, x: np.ndarray) -> np.ndarray:
-    """Scatter-add over ``PARALLEL_CHUNKS`` element partitions.
-
-    Partitioning by *elements* (not rows) is what makes COO robust to
-    power-law row-degree skew: every chunk does identical work no matter how
-    unbalanced the rows are.
-    """
-    x = matrix.check_operand(x)
-    y = np.zeros(matrix.n_rows, dtype=matrix.dtype)
-    if matrix.nnz == 0:
-        return y
-    bounds = np.linspace(0, matrix.nnz, PARALLEL_CHUNKS + 1, dtype=np.int64)
-    for c in range(PARALLEL_CHUNKS):
-        lo, hi = int(bounds[c]), int(bounds[c + 1])
-        if hi == lo:
-            continue
-        np.add.at(
-            y,
-            matrix.rows[lo:hi],
-            matrix.data[lo:hi] * x[matrix.cols[lo:hi]],
-        )
     return y

@@ -1,9 +1,11 @@
 """CSR SpMV kernel implementations.
 
-Six variants spanning the strategy space.  ``basic`` is the textbook row loop
+Seven registered variants span the strategy space.  ``basic`` is the textbook row loop
 of Figure 2a; ``vectorize`` replaces the loop with a cumulative-sum segment
-reduction (our stand-in for SIMDization); blocking and threading variants
-layer on top.
+reduction (our stand-in for SIMDization); blocking variants layer on top.
+The PARALLEL variants share their non-PARALLEL sibling's function: one pass
+over all rows is the host's fastest way to run them, and the simulated
+machine model supplies the thread scaling.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from repro.types import FormatName
 #: Rows per block for cache-blocked variants: sized so one block of the
 #: y-vector plus its ptr slice stays resident in a typical L2.
 ROW_BLOCK_SIZE = 4096
-
-#: Chunks used by the PARALLEL variants (the paper runs 12 threads).
-PARALLEL_CHUNKS = 12
 
 
 def _segment_sums(products: np.ndarray, ptr: np.ndarray) -> np.ndarray:
@@ -46,8 +45,12 @@ def csr_basic(matrix: CSRMatrix, x: np.ndarray) -> np.ndarray:
 
 
 @register_kernel(FormatName.CSR, strategy_set(Strategy.VECTORIZE))
+@register_kernel(
+    FormatName.CSR, strategy_set(Strategy.VECTORIZE, Strategy.PARALLEL)
+)
 def csr_vectorized(matrix: CSRMatrix, x: np.ndarray) -> np.ndarray:
-    """Gather-multiply then a segment reduction over the row pointer."""
+    """Gather-multiply then a segment reduction over the row pointer
+    (also the PARALLEL variant)."""
     x = matrix.check_operand(x)
     if matrix.nnz == 0:
         return np.zeros(matrix.n_rows, dtype=matrix.dtype)
@@ -74,9 +77,13 @@ def csr_row_blocked(matrix: CSRMatrix, x: np.ndarray) -> np.ndarray:
 @register_kernel(
     FormatName.CSR, strategy_set(Strategy.VECTORIZE, Strategy.ROW_BLOCK)
 )
+@register_kernel(
+    FormatName.CSR,
+    strategy_set(Strategy.VECTORIZE, Strategy.PARALLEL, Strategy.ROW_BLOCK),
+)
 def csr_vectorized_blocked(matrix: CSRMatrix, x: np.ndarray) -> np.ndarray:
     """Segment reduction executed block-by-block so the product buffer
-    stays cache resident."""
+    stays cache resident (also the PARALLEL variant)."""
     x = matrix.check_operand(x)
     y = np.zeros(matrix.n_rows, dtype=matrix.dtype)
     for block_start in range(0, matrix.n_rows, ROW_BLOCK_SIZE):
@@ -88,59 +95,6 @@ def csr_vectorized_blocked(matrix: CSRMatrix, x: np.ndarray) -> np.ndarray:
         products = matrix.data[lo:hi] * x[matrix.indices[lo:hi]]
         ptr_slice = matrix.ptr[block_start : block_end + 1] - lo
         y[block_start:block_end] = _segment_sums(products, ptr_slice)
-    return y
-
-
-@register_kernel(
-    FormatName.CSR, strategy_set(Strategy.VECTORIZE, Strategy.PARALLEL)
-)
-def csr_vectorized_parallel(matrix: CSRMatrix, x: np.ndarray) -> np.ndarray:
-    """Vectorized reduction over ``PARALLEL_CHUNKS`` row partitions.
-
-    The chunking mirrors a static 12-thread row partition; in CPython the
-    chunks execute sequentially (the simulated machine model applies the
-    thread-scaling factor instead).
-    """
-    x = matrix.check_operand(x)
-    y = np.zeros(matrix.n_rows, dtype=matrix.dtype)
-    bounds = np.linspace(0, matrix.n_rows, PARALLEL_CHUNKS + 1, dtype=np.int64)
-    for c in range(PARALLEL_CHUNKS):
-        row_lo, row_hi = int(bounds[c]), int(bounds[c + 1])
-        if row_hi == row_lo:
-            continue
-        lo = int(matrix.ptr[row_lo])
-        hi = int(matrix.ptr[row_hi])
-        if hi == lo:
-            continue
-        products = matrix.data[lo:hi] * x[matrix.indices[lo:hi]]
-        ptr_slice = matrix.ptr[row_lo : row_hi + 1] - lo
-        y[row_lo:row_hi] = _segment_sums(products, ptr_slice)
-    return y
-
-
-@register_kernel(
-    FormatName.CSR,
-    strategy_set(Strategy.VECTORIZE, Strategy.PARALLEL, Strategy.ROW_BLOCK),
-)
-def csr_vectorized_parallel_blocked(
-    matrix: CSRMatrix, x: np.ndarray
-) -> np.ndarray:
-    """Row partition whose chunks are further processed in cache-sized row
-    blocks, keeping each chunk's product buffer resident."""
-    x = matrix.check_operand(x)
-    y = np.zeros(matrix.n_rows, dtype=matrix.dtype)
-    bounds = np.linspace(0, matrix.n_rows, PARALLEL_CHUNKS + 1, dtype=np.int64)
-    for c in range(PARALLEL_CHUNKS):
-        row_lo, row_hi = int(bounds[c]), int(bounds[c + 1])
-        for block_start in range(row_lo, row_hi, ROW_BLOCK_SIZE):
-            block_end = min(block_start + ROW_BLOCK_SIZE, row_hi)
-            lo = int(matrix.ptr[block_start])
-            hi = int(matrix.ptr[block_end])
-            if hi == lo:
-                continue
-            products = matrix.data[lo:hi] * x[matrix.indices[lo:hi]]
-            ptr_slice = matrix.ptr[block_start : block_end + 1] - lo
-            y[block_start:block_end] = _segment_sums(products, ptr_slice)
     return y
 
 

@@ -10,7 +10,6 @@ from repro.kernels.strategies import Strategy, strategy_set
 from repro.types import FormatName
 
 ROW_BLOCK_SIZE = 8192
-PARALLEL_CHUNKS = 12
 
 
 @register_kernel(FormatName.ELL, strategy_set())
@@ -25,11 +24,18 @@ def ell_basic(matrix: ELLMatrix, x: np.ndarray) -> np.ndarray:
 
 
 @register_kernel(FormatName.ELL, strategy_set(Strategy.VECTORIZE))
+@register_kernel(
+    FormatName.ELL, strategy_set(Strategy.VECTORIZE, Strategy.PARALLEL)
+)
 def ell_vectorized(matrix: ELLMatrix, x: np.ndarray) -> np.ndarray:
     """One fused gather-multiply-reduce over the whole packed matrix.
 
     ``einsum`` reduces across packed slots in a single pass — the closest
-    NumPy analogue of the fully SIMDized row-parallel ELL kernel.
+    NumPy analogue of the fully SIMDized row-parallel ELL kernel.  Also
+    registered as the PARALLEL variant: ELL's uniform per-row work makes
+    a row partition trivial to balance (the "regular and easy-to-predict
+    behavior" Section 6 cites), and the simulated machine model applies
+    its thread scaling to this one pass.
     """
     x = matrix.check_operand(x)
     if matrix.max_row_degree == 0:
@@ -40,61 +46,23 @@ def ell_vectorized(matrix: ELLMatrix, x: np.ndarray) -> np.ndarray:
 @register_kernel(
     FormatName.ELL, strategy_set(Strategy.VECTORIZE, Strategy.ROW_BLOCK)
 )
-def ell_vectorized_blocked(matrix: ELLMatrix, x: np.ndarray) -> np.ndarray:
-    """Gather-reduce over row blocks so the gathered X slice stays hot."""
-    x = matrix.check_operand(x)
-    y = np.zeros(matrix.n_rows, dtype=matrix.dtype)
-    if matrix.max_row_degree == 0:
-        return y
-    for block_start in range(0, matrix.n_rows, ROW_BLOCK_SIZE):
-        block_end = min(block_start + ROW_BLOCK_SIZE, matrix.n_rows)
-        data = matrix.data[:, block_start:block_end]
-        idx = matrix.indices[:, block_start:block_end]
-        y[block_start:block_end] = np.einsum("si,si->i", data, x[idx])
-    return y
-
-
 @register_kernel(
     FormatName.ELL,
     strategy_set(Strategy.VECTORIZE, Strategy.PARALLEL, Strategy.ROW_BLOCK),
 )
-def ell_vectorized_parallel_blocked(
-    matrix: ELLMatrix, x: np.ndarray
-) -> np.ndarray:
-    """Row partition whose per-chunk sweep is further tiled to cache-sized
-    row blocks, so each chunk writes its Y slice exactly once."""
-    x = matrix.check_operand(x)
-    y = np.zeros(matrix.n_rows, dtype=matrix.dtype)
-    if matrix.max_row_degree == 0:
-        return y
-    for block_start in range(0, matrix.n_rows, ROW_BLOCK_SIZE):
-        block_end = min(block_start + ROW_BLOCK_SIZE, matrix.n_rows)
-        data = matrix.data[:, block_start:block_end]
-        idx = matrix.indices[:, block_start:block_end]
-        y[block_start:block_end] = np.einsum("si,si->i", data, x[idx])
-    return y
+def ell_vectorized_blocked(matrix: ELLMatrix, x: np.ndarray) -> np.ndarray:
+    """Gather-reduce over row blocks so the gathered X slice stays hot.
 
-
-@register_kernel(
-    FormatName.ELL, strategy_set(Strategy.VECTORIZE, Strategy.PARALLEL)
-)
-def ell_vectorized_parallel(matrix: ELLMatrix, x: np.ndarray) -> np.ndarray:
-    """Row-partitioned gather-reduce (static 12-way split).
-
-    ELL's uniform per-row work makes this the easiest format to balance —
-    the "regular and easy-to-predict behavior" Section 6 cites when placing
-    ELL second in the rule-group order.
+    Also the PARALLEL variant: on the host its row partition runs as this
+    one blocked pass.
     """
     x = matrix.check_operand(x)
     y = np.zeros(matrix.n_rows, dtype=matrix.dtype)
     if matrix.max_row_degree == 0:
         return y
-    bounds = np.linspace(0, matrix.n_rows, PARALLEL_CHUNKS + 1, dtype=np.int64)
-    for c in range(PARALLEL_CHUNKS):
-        lo, hi = int(bounds[c]), int(bounds[c + 1])
-        if hi == lo:
-            continue
-        data = matrix.data[:, lo:hi]
-        idx = matrix.indices[:, lo:hi]
-        y[lo:hi] = np.einsum("si,si->i", data, x[idx])
+    for block_start in range(0, matrix.n_rows, ROW_BLOCK_SIZE):
+        block_end = min(block_start + ROW_BLOCK_SIZE, matrix.n_rows)
+        data = matrix.data[:, block_start:block_end]
+        idx = matrix.indices[:, block_start:block_end]
+        y[block_start:block_end] = np.einsum("si,si->i", data, x[idx])
     return y

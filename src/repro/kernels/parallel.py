@@ -1,10 +1,10 @@
 """Chunked thread-parallel SpMV execution.
 
-The PARALLEL-strategy kernels partition rows into chunks but run the chunks
-sequentially — the simulated machine model supplies the thread-scaling
-factor.  This module is the *real* thing: rows are split into nnz-balanced
-chunks (a prefix-sum partition over the CSR row pointer) and each chunk's
-vectorized segment reduction runs on a shared ``ThreadPoolExecutor``.
+The PARALLEL-strategy kernels run in one pass on the host — the simulated
+machine model supplies the thread-scaling factor.  This module is the
+*real* thing: rows are split into nnz-balanced chunks (a prefix-sum
+partition over the CSR row pointer) and each chunk's vectorized segment
+reduction runs on a shared ``ThreadPoolExecutor``.
 NumPy's ufunc inner loops release the GIL on large non-object buffers, so
 the chunks genuinely overlap on multi-core hosts.
 

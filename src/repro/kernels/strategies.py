@@ -14,9 +14,11 @@ techniques available to NumPy code:
   cache (cache blocking).
 * ``UNROLL`` — manual unrolling of the short inner dimension (diagonals /
   packed columns), trading loop overhead for code size.
-* ``PARALLEL`` — split rows across worker chunks (threading policy); the
-  chunks execute sequentially in CPython and the simulated machine model
-  applies the thread-scaling factor.
+* ``PARALLEL`` — split rows across threads (threading policy).  The
+  simulated machine model applies the thread-scaling factor; on the host
+  each PARALLEL kernel does its work in one pass over all rows, usually by
+  sharing its non-PARALLEL sibling's function, because replaying the split
+  chunk after chunk in CPython only adds per-chunk overhead.
 * ``THREAD`` — actually run the row chunks concurrently on a shared
   ``ThreadPoolExecutor`` (see :mod:`repro.kernels.parallel`); NumPy's ufunc
   inner loops release the GIL, so large matrices genuinely overlap.

@@ -98,7 +98,8 @@ class Histogram:
 
     Buckets are cumulative-style upper bounds plus an implicit +inf bucket.
     Quantiles are estimated by linear interpolation within the winning
-    bucket — coarse, but plenty for a serving scoreboard.
+    bucket, capped at the observed maximum — coarse, but plenty for a
+    serving scoreboard.
     """
 
     def __init__(
@@ -146,21 +147,8 @@ class Histogram:
         if not 0.0 < q <= 1.0:
             raise ValueError(f"quantile must be in (0, 1], got {q}")
         with self._lock:
-            if self._count == 0:
-                return 0.0
-            target = q * self._count
-            seen = 0
-            lower = 0.0
-            for i, bucket_count in enumerate(self._counts):
-                upper = (
-                    self.buckets[i] if i < len(self.buckets) else self._max
-                )
-                if seen + bucket_count >= target and bucket_count > 0:
-                    fraction = (target - seen) / bucket_count
-                    return lower + fraction * (upper - lower)
-                seen += bucket_count
-                lower = upper
-            return self._max
+            counts, top = list(self._counts), self._max
+        return _bucket_quantile(self.buckets, counts, top, q)
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
@@ -284,11 +272,15 @@ def format_snapshot(snap: Dict[str, Dict]) -> str:
     return "\n".join(lines) if lines else "no metrics recorded"
 
 
-def _merged_quantile(
-    bounds: List[float], counts: List[int], top: float, q: float
+def _bucket_quantile(
+    bounds: Sequence[float], counts: List[int], top: float, q: float
 ) -> float:
-    """Re-estimate a quantile from merged bucket counts (same
-    interpolation as :meth:`Histogram.quantile`)."""
+    """Estimate a quantile from bucket counts by linear interpolation
+    within the winning bucket, capped at the observed maximum ``top``.
+
+    Without the cap a decade-wide bucket interpolates up to its upper
+    bound, so a p99 could read several times the largest observation.
+    """
     total = sum(counts)
     if total == 0:
         return 0.0
@@ -296,7 +288,7 @@ def _merged_quantile(
     seen = 0
     lower = 0.0
     for i, bucket_count in enumerate(counts):
-        upper = bounds[i] if i < len(bounds) else top
+        upper = min(bounds[i], top) if i < len(bounds) else top
         if seen + bucket_count >= target and bucket_count > 0:
             fraction = (target - seen) / bucket_count
             return lower + fraction * (upper - lower)
@@ -327,8 +319,8 @@ def _merge_histograms(per_name: List[Dict]) -> Dict[str, object]:
                 counts[i] += int(c)
         merged["bounds"] = bounds
         merged["counts"] = counts
-        merged["p50"] = _merged_quantile(bounds, counts, top, 0.5)
-        merged["p99"] = _merged_quantile(bounds, counts, top, 0.99)
+        merged["p50"] = _bucket_quantile(bounds, counts, top, 0.5)
+        merged["p99"] = _bucket_quantile(bounds, counts, top, 0.99)
     else:
         # Pre-bucket snapshots (or mismatched bucketing): quantiles can't
         # be reconstructed exactly, so report the worst contributor —

@@ -98,7 +98,7 @@ class OnlineSmat:
 
     def spmv(self, matrix: CSRMatrix, x):
         decision = self.decide(matrix)
-        return decision.kernel(decision.matrix, x), decision
+        return decision.serving_kernel(decision.matrix, x), decision
 
     # ------------------------------------------------------------------
     def _retrain(self) -> bool:

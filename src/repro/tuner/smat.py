@@ -42,7 +42,7 @@ class PreparedSpMV:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         assert self.decision.matrix is not None
-        return self.decision.kernel(self.decision.matrix, x)
+        return self.decision.serving_kernel(self.decision.matrix, x)
 
     @property
     def format_name(self) -> FormatName:

@@ -8,8 +8,13 @@ import pytest
 from repro.amg import CsrEngine, SmatEngine
 from repro.collection import generate_collection
 from repro.collection.grids import laplacian_5pt
+from repro.features.extract import extract_features
+from repro.kernels import Kernel
+from repro.kernels.codegen import GENERATED_STRATEGIES
 from repro.machine import INTEL_XEON_X5680, SimulatedBackend
+from repro.machine.costmodel import estimate_spmv_time
 from repro.tuner import SMAT
+from repro.tuner.online import OnlineSmat
 from repro.types import FormatName, Precision
 
 
@@ -77,3 +82,69 @@ class TestSmatEngine:
         op = SmatEngine(smat).prepare(matrix)
         x = rng.standard_normal(matrix.n_cols)
         np.testing.assert_allclose(op(x), matrix.spmv(x), atol=1e-9)
+
+
+class TestServingKernelBinding:
+    """Every library-path product runs ``decision.serving_kernel``: the
+    compiled kernel when the decision carries one."""
+
+    @pytest.fixture
+    def compiled_runs(self, smat, monkeypatch):
+        """Attach a compiled kernel to every decision; list its calls."""
+        runs = []
+        decide = smat.decide
+
+        def decide_with_compiled(matrix, deadline=None):
+            decision = decide(matrix, deadline=deadline)
+            generic = decision.kernel
+
+            def fn(m, x):
+                runs.append(m)
+                return generic.fn(m, x)
+
+            decision.compiled_kernel = Kernel(
+                generic.format_name, GENERATED_STRATEGIES, fn
+            )
+            return decision
+
+        monkeypatch.setattr(smat, "decide", decide_with_compiled)
+        return runs
+
+    def test_smat_engine_runs_compiled_kernel(
+        self, smat, backend, compiled_runs, rng
+    ) -> None:
+        matrix = laplacian_5pt(20)
+        op = SmatEngine(smat).prepare(matrix)
+        assert op.kernel.strategies == GENERATED_STRATEGIES
+        x = rng.standard_normal(matrix.n_cols)
+        np.testing.assert_allclose(op(x), matrix.spmv(x), atol=1e-9)
+        assert compiled_runs == [op.matrix]
+        # Still priced from the registry kernel, whose strategy set carries
+        # the simulated thread scaling a generated kernel's does not.
+        assert op.seconds_per_apply == estimate_spmv_time(
+            backend.arch,
+            op.format_name,
+            extract_features(matrix),
+            backend.precision,
+            smat.decide(matrix).kernel.strategies,
+        )
+
+    def test_prepared_spmv_runs_compiled_kernel(
+        self, smat, compiled_runs, rng
+    ) -> None:
+        matrix = laplacian_5pt(20)
+        x = rng.standard_normal(matrix.n_cols)
+        smat.prepare(matrix)(x)
+        y, decision = smat.spmv(matrix, x)
+        np.testing.assert_allclose(y, matrix.spmv(x), atol=1e-9)
+        assert len(compiled_runs) == 2
+        assert compiled_runs[1] is decision.matrix
+
+    def test_online_spmv_runs_compiled_kernel(
+        self, smat, compiled_runs, rng
+    ) -> None:
+        matrix = laplacian_5pt(20)
+        x = rng.standard_normal(matrix.n_cols)
+        y, decision = OnlineSmat(smat).spmv(matrix, x)
+        np.testing.assert_allclose(y, matrix.spmv(x), atol=1e-9)
+        assert compiled_runs == [decision.matrix]

@@ -17,10 +17,25 @@ from repro.kernels import (
     strategy_set,
     total_kernel_count,
 )
-from repro.types import BASIC_FORMATS, FormatName
+from repro.machine import INTEL_XEON_X5680, SimulatedBackend
+from repro.machine.presets import AMD_OPTERON_6168
+from repro.tuner import search_kernels
+from repro.types import BASIC_FORMATS, FormatName, Precision
 from tests.conftest import random_csr
 
 ALL_FORMATS = list(BASIC_FORMATS) + [FormatName.BCSR, FormatName.HYB]
+
+#: ``(n_rows, n_cols, density, empty row ranges)`` for shapes a row or
+#: element partition has to get right: fewer rows than a 12-way split,
+#: runs of empty rows, no entries at all, and tall and wide rectangles
+#: like an AMG hierarchy's P and R operators.
+EDGE_SHAPES = {
+    "few_rows": (5, 9, 0.4, ()),
+    "empty_row_runs": (40, 30, 0.3, ((0, 15), (30, 40))),
+    "no_entries": (13, 11, 0.0, ()),
+    "tall": (277, 57, 0.05, ()),
+    "wide": (57, 277, 0.05, ()),
+}
 
 
 def all_kernels():
@@ -72,6 +87,46 @@ def test_kernel_preserves_single_precision(kernel: Kernel, rng) -> None:
     matrix, _ = convert(csr, kernel.format_name, fill_budget=None)
     y = kernel(matrix, np.ones(20, dtype=np.float32))
     assert y.dtype == np.float32
+
+
+def dyadic_csr(rng, n_rows, n_cols, density, empty_rows) -> CSRMatrix:
+    """Random structure with values in multiples of 1/4, so every
+    summation order gives the same bits."""
+    mask = rng.random((n_rows, n_cols)) < density
+    for lo, hi in empty_rows:
+        mask[lo:hi] = False
+    values = rng.integers(1, 9, size=mask.shape) / 4.0
+    signs = np.where(rng.random(mask.shape) < 0.5, -1.0, 1.0)
+    return CSRMatrix.from_dense(np.where(mask, signs * values, 0.0))
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_SHAPES))
+@pytest.mark.parametrize("kernel", all_kernels())
+def test_kernel_bitwise_on_edge_shapes(
+    kernel: Kernel, shape: str, rng
+) -> None:
+    csr = dyadic_csr(rng, *EDGE_SHAPES[shape])
+    matrix, _ = convert(csr, kernel.format_name, fill_budget=None)
+    x = rng.integers(-4, 5, size=csr.n_cols).astype(np.float64)
+    y = kernel(matrix, x)
+    assert y.shape == (csr.n_rows,)
+    np.testing.assert_array_equal(y, csr.spmv(x, reference=True))
+
+
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.value)
+@pytest.mark.parametrize(
+    "arch", [INTEL_XEON_X5680, AMD_OPTERON_6168], ids=lambda a: a.name
+)
+def test_search_picks_parallel_kernels(arch, precision) -> None:
+    # The simulated search credits PARALLEL with thread scaling however
+    # the host runs it, so these picks pin Tables 1, 3 and 4.
+    result = search_kernels(SimulatedBackend(arch, precision))
+    assert {fmt: k.name for fmt, k in result.kernels.items()} == {
+        FormatName.CSR: "CSR/parallel+vectorize",
+        FormatName.COO: "COO/parallel+vectorize",
+        FormatName.DIA: "DIA/parallel+row_block+vectorize",
+        FormatName.ELL: "ELL/parallel+row_block+vectorize",
+    }
 
 
 class TestRegistry:

@@ -65,6 +65,18 @@ class TestHistogram:
         assert 0.0 <= h.quantile(0.5) <= h.quantile(0.99)
         assert h.quantile(1.0) <= h.snapshot()["max"] + 1e-12
 
+    def test_quantiles_never_exceed_max(self) -> None:
+        # Five plan builds of 1.1-2.73 ms share the decade bucket
+        # (1 ms, 10 ms]; interpolating up to its bound read p50 5.5 ms.
+        h = Histogram("plan_build_seconds")
+        for v in (0.0011, 0.0015, 0.0019, 0.0024, 0.00273):
+            h.observe(v)
+        snap = h.snapshot()
+        for q in (0.5, 0.9, 0.99, 1.0):
+            assert 0.001 <= h.quantile(q) <= snap["max"]
+        assert snap["p50"] <= snap["p99"] <= snap["max"]
+        assert h.quantile(1.0) == snap["max"]
+
     def test_quantile_validation(self) -> None:
         h = Histogram("lat")
         with pytest.raises(ValueError, match="quantile"):

@@ -89,6 +89,9 @@ class TestHistogramMerge:
             reference.observe(v)
         assert merged["p50"] == pytest.approx(reference.quantile(0.5))
         assert merged["p99"] == pytest.approx(reference.quantile(0.99))
+        # No estimate reaches past the largest observation, even when it
+        # sits low in a wide bucket.
+        assert merged["p50"] <= merged["p99"] <= merged["max"]
 
     def test_mismatched_bounds_fall_back_to_pessimistic_max(self) -> None:
         a = Histogram("t", buckets=(0.1, 1.0))
