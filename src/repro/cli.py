@@ -13,10 +13,9 @@
 * ``stats``      — domain and format-affinity distribution of a database,
 * ``serve-bench``— replay a synthetic workload (popularity-skewed, value
   churn, same-matrix fan-in bursts or an evolving graph) through the
-  ``repro.serve`` engine, or the ``repro.cluster`` shards under
-  ``--cluster``, verify every product and print the scoreboard
+  ``repro.serve`` engine, verify every product and print the scoreboard
   (``--trace`` captures the replay as a Chrome trace; ``--bench-json``
-  records a baseline comparison into ``BENCH_perf.json``),
+  records a serving section into ``BENCH_perf.json``),
 * ``trace``      — route one matrix through the serving engine with
   tracing on and print the span tree + per-stage overhead report,
 * ``bench-perf`` — time the vectorized cold path (conversions, feature
@@ -104,28 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--clients", type=int, default=4,
                        help="concurrent client threads (default 4)")
     serve.add_argument("--workers", type=int, default=4,
-                       help="engine worker threads, or shard processes "
-                            "under --cluster (default 4)")
-    serve.add_argument("--cluster", action="store_true",
-                       help="replay against the multi-process sharded "
-                            "cluster (repro.cluster): --workers N spawns "
-                            "N shard worker processes behind consistent-"
-                            "hash routing and a shared-memory plan store")
-    serve.add_argument("--crash-after", type=int, default=None,
-                       metavar="N", dest="crash_after",
-                       help="chaos (needs --cluster): every shard worker "
-                            "incarnation hard-crashes (os._exit) after "
-                            "serving N requests, exercising crash "
-                            "detection, respawn, plan re-warm and "
-                            "re-dispatch")
+                       help="engine worker threads (default 4)")
     serve.add_argument("--bench-json", type=Path, default=None,
                        metavar="PATH", dest="bench_json",
-                       help="needs --cluster, --fan-in or --structure-"
-                            "churn: merge a serve/sharded, serve/fan_in or "
-                            "serve/structure_churn section into the "
-                            "BENCH_perf.json-style report at PATH; --fan-in "
-                            "and --cluster with --workers > 1 first replay "
-                            "a baseline (unbatched, one shard)")
+                       help="needs --fan-in or --structure-churn: merge a "
+                            "serve/fan_in or serve/structure_churn section "
+                            "into the BENCH_perf.json-style report at "
+                            "PATH; --fan-in first replays an unbatched "
+                            "baseline")
     serve.add_argument("--fan-in", type=int, default=None,
                        metavar="N", dest="fan_in",
                        help="fan-in mode: submit same-matrix bursts of N "
@@ -425,26 +410,18 @@ def _serve_bench_refusal(args: argparse.Namespace) -> Optional[str]:
         value = getattr(args, flag[2:].replace("-", "_"))
         return value is not None and value is not False
 
-    # Online retraining is in-process (each shard would learn on its
-    # own), and the fan-in and churn workloads each drive one engine.
     for flag, others in (
-        ("--cluster", ("--fan-in", "--structure-churn", "--online")),
         ("--structure-churn", ("--fan-in", "--value-churn", "--online")),
         ("--fan-in", ("--value-churn", "--online")),
     ):
         for other in others:
             if given(flag) and given(other):
                 return f"{flag} cannot be combined with {other}"
-    for flag, needs in (
-        ("--crash-after", ("--cluster",)),
-        ("--bench-json", ("--cluster", "--fan-in", "--structure-churn")),
-    ):
-        if given(flag) and not any(given(need) for need in needs):
-            return f"{flag} needs {' or '.join(needs)}"
     churn = given("--structure-churn")
+    if given("--bench-json") and not (given("--fan-in") or churn):
+        return "--bench-json needs --fan-in or --structure-churn"
     for flag, value, ok, bound in (
         ("--tune-budget", args.tune_budget, lambda v: v > 0, "> 0"),
-        ("--crash-after", args.crash_after, lambda v: v >= 1, ">= 1"),
         ("--fan-in", args.fan_in, lambda v: v >= 1, ">= 1"),
         ("--value-churn", args.value_churn, lambda v: v >= 2,
          ">= 2 (one base build plus at least one value update)"),
@@ -472,7 +449,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro import obs
-    from repro.cluster import ClusterConfig, ClusterDispatcher, WorkerSpec
     from repro.collection import generate_collection
     from repro.serve import (
         FaultPlan,
@@ -557,62 +533,40 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 if isinstance(op, Burst))
 
     config = ServeConfig(
-        # A shard engine serves one request at a time and the dispatcher
-        # owns the deadline.
-        workers=1 if args.cluster else args.workers,
+        workers=args.workers,
         cache_entries=args.cache_entries,
-        default_deadline=None if args.cluster else args.deadline,
+        default_deadline=args.deadline,
         max_retries=args.max_retries,
         breaker_threshold=args.breaker_threshold,
         structure_cache=not args.no_structure_cache,
         max_batch_rhs=args.fan_in or 1,
-        # A plain string: codegen artifacts are regenerated worker-side
-        # from structure, keeping the cluster spec pickle descriptor-only.
         kernel_backend=args.kernel_backend,
     )
 
-    def target(workers: int, serve_config: ServeConfig):
-        if not args.cluster:
-            return ServingEngine(tuner, serve_config, faults=faults)
-        spec = WorkerSpec(
-            tuner=tuner,
-            config=serve_config,
-            fault_specs=tuple(args.faults or ()),
-            fault_seed=args.fault_seed,
-            crash_after=args.crash_after,
-        )
-        return ClusterDispatcher(
-            spec,
-            ClusterConfig(workers=workers, default_deadline=args.deadline),
-        )
-
-    def run(server, tracer=None):
+    def run(engine, tracer=None):
         traced = nullcontext() if tracer is None else obs.installed(tracer)
-        with traced, server:
-            return replay(server, ops)
+        with traced, engine:
+            return replay(engine, ops)
 
-    # The --bench-json baseline: the same ops on one shard, or on an
-    # engine that never stacks a burst into an SpMM.
+    # The --fan-in --bench-json baseline: the same ops on an engine that
+    # never stacks a burst into an SpMM.
     baseline = None
-    baseline_name = "unbatched" if args.fan_in is not None else "1 shard"
-    if args.bench_json is not None and (
-        args.fan_in is not None or args.cluster and args.workers > 1
-    ):
-        print(f"replaying {total} requests on the {baseline_name} "
-              f"baseline...")
-        baseline = run(target(1, replace(config, max_batch_rhs=1)))
+    if args.bench_json is not None and args.fan_in is not None:
+        print(f"replaying {total} requests on the unbatched baseline...")
+        baseline = run(ServingEngine(
+            tuner, replace(config, max_batch_rhs=1), faults=faults
+        ))
         print(f"baseline   : {baseline.requests} requests in "
               f"{baseline.wall_seconds:.2f}s "
               f"({baseline.throughput_rps:.0f} req/s)")
 
     print(f"replaying {total} requests: clients {len(ops)}, "
-          f"{'shard processes' if args.cluster else 'workers'} "
-          f"{args.workers}...")
-    server = target(args.workers, config)
+          f"workers {args.workers}...")
+    engine = ServingEngine(tuner, config, faults=faults)
     tracer = None
     if args.trace is not None:
-        tracer = obs.Tracer(sink=obs.metrics_sink(server.metrics))
-    report = run(server, tracer)
+        tracer = obs.Tracer(sink=obs.metrics_sink(engine.metrics))
+    report = run(engine, tracer)
     if tracer is not None:
         from repro.obs.export import write_chrome_trace
         from repro.obs.report import overhead_report
@@ -623,19 +577,13 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         print(overhead_report(roots).describe())
         print(f"wrote {events} trace events -> {args.trace}")
 
-    # Read after stop(): shard engines send their final cumulative
-    # snapshots on exit, and under --cluster the engine counters are
-    # those shards' merged counters.
-    counters = server.metrics.snapshot()["counters"]
-    served = counters
-    if args.cluster:
-        served = (server.worker_metrics() or {}).get("counters", {})
+    counters = engine.metrics.snapshot()["counters"]
 
     def count(name: str) -> int:
-        return int(served.get(name, 0))
+        return int(counters.get(name, 0))
 
     print()
-    print(server.scoreboard())
+    print(engine.scoreboard())
     print()
     print(f"served     : {report.requests} requests "
           f"in {report.wall_seconds:.2f}s "
@@ -644,10 +592,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
           f"{report.requests} products match the reference kernel")
     print(f"failed     : {len(report.errors)} requests, {report.dropped} "
           f"dropped without a reply")
-    pickled = int(counters.get("operand_bytes_pickled", 0))
-    if args.cluster:
-        print(f"zero-copy  : {pickled} operand bytes pickled on the hot "
-              f"path")
     batches = count("spmm_batches_total")
     batched = count("spmm_requests_batched")
     if args.fan_in is not None:
@@ -666,52 +610,19 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.online_retrain:
         print(f"hot-swap   : {count('ruleset_swaps')} ruleset swaps "
               f"observed by the engine (model epoch {tuner.model_epoch})")
-    cpu_count = os.cpu_count() or 1
     speedup = 1.0
     if baseline is not None:
         speedup = (report.throughput_rps / baseline.throughput_rps
                    if baseline.throughput_rps > 0 else 0.0)
-        print(f"speedup    : {speedup:.2f}x throughput vs {baseline_name}"
-              f" (host has {cpu_count} cpu)")
+        print(f"speedup    : {speedup:.2f}x throughput vs unbatched"
+              f" (host has {os.cpu_count() or 1} cpu)")
 
     if args.bench_json is not None:
         section = {
             "mismatches": report.mismatches,
             "failed_requests": len(report.errors),
         }
-        if args.cluster:
-            name = "sharded"
-            section.update(
-                workers=args.workers,
-                clients=args.clients,
-                requests=total,
-                matrices=args.matrices * (args.value_churn or 1),
-                wall_seconds=report.wall_seconds,
-                throughput_rps=report.throughput_rps,
-                cache_hit_rate=report.cache_hit_rate,
-                dropped_requests=report.dropped,
-                operand_bytes_pickled=pickled,
-                chaos={
-                    "faults": list(args.faults or []),
-                    "crash_after": args.crash_after,
-                    "deadline": args.deadline,
-                },
-                # Shard processes time-slicing one core measure
-                # correctness parity, never a parallel speedup.
-                cpu_count=cpu_count,
-                parity_only=cpu_count < 2,
-                speedup_vs_1_worker=speedup,
-            )
-            for key in ("plans_published", "worker_crashes",
-                        "workers_respawned", "redispatches",
-                        "plans_rewarmed", "degraded_local"):
-                section[key] = int(counters[key])
-            if baseline is not None:
-                section["baseline_1_worker"] = {
-                    "wall_seconds": baseline.wall_seconds,
-                    "throughput_rps": baseline.throughput_rps,
-                }
-        elif args.fan_in is not None:
+        if args.fan_in is not None:
             name = "fan_in"
             section.update(
                 fan_in=args.fan_in,
@@ -750,9 +661,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     errors = [exc for r in replays for exc in r.errors]
     failed = (f"{len(errors)} requests failed ({errors[0]!r})"
               if errors else "")
-    # Under injected chaos (faults, worker crashes) failed requests are
-    # the experiment, so they are only a note.
-    chaos = faults is not None or args.crash_after is not None
+    # Under injected faults failed requests are the experiment, so they
+    # are only a note.
+    chaos = faults is not None
     if failed and chaos:
         print(f"note: {failed}", file=sys.stderr)
     churn = args.structure_churn is not None
@@ -761,8 +672,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         (mismatches, f"{mismatches} product mismatches"),
         (dropped, f"{dropped} requests dropped without a reply"),
         (failed and not chaos, failed),
-        (pickled, f"zero-copy invariant violated ({pickled} operand "
-                  f"bytes pickled)"),
         ((args.fan_in or 0) >= 2 and batches == 0,
          "batching enabled but no SpMM batch was executed "
          "(spmm_batches_total == 0)"),

@@ -793,10 +793,11 @@ def format_report(report: Dict[str, object]) -> str:
 def write_report(report: Dict[str, object], out: Path) -> None:
     """Write the report, keeping any ``serve/*`` sections already at ``out``.
 
-    ``serve-bench --bench-json`` merges its serving numbers (``sharded``,
-    ``fan_in``, any future section) into the same file; a bench-perf
-    rerun must not drop any of them.  The merge is per key so a report
-    that somehow carries its own ``serve`` entries wins over stale ones.
+    ``serve-bench --bench-json`` merges its serving numbers (``fan_in``,
+    ``structure_churn``, any future section) into the same file; a
+    bench-perf rerun must not drop any of them.  The merge is per key so
+    a report that somehow carries its own ``serve`` entries wins over
+    stale ones.
     """
     if out.exists():
         try:

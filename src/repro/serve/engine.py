@@ -221,10 +221,7 @@ class ServeConfig:
     #: Kernel backend applied to cold plan builds and delta-migrated
     #: plans (``repro.kernels.backends``).  ``codegen`` compiles a per-matrix
     #: specialized kernel into the plan when it beats the registry kernel;
-    #: any compile failure silently keeps the generic kernel.  A plain
-    #: string, so shipping it inside a pickled cluster ``WorkerSpec``
-    #: stays descriptor-only — workers regenerate compiled kernels from
-    #: structure on their side, and ``operand_bytes_pickled`` stays 0.
+    #: any compile failure silently keeps the generic kernel.
     kernel_backend: str = "generic"
     #: Structure-delta migration policy: a delta whose structural edit
     #: count (entries appearing or vanishing) stays within this fraction
@@ -769,7 +766,6 @@ class ServingEngine:
         x: np.ndarray,
         timeout: Optional[float] = None,
         deadline: Optional[float] = None,
-        fingerprint: Optional[Fingerprint] = None,
     ) -> "Future[ServeResult]":
         """Enqueue one SpMV; returns a future resolving to a ServeResult.
 
@@ -779,10 +775,7 @@ class ServingEngine:
         config's ``default_deadline``) bounds the request end to end —
         queue wait, plan resolution and execution; an expired request
         fails with :class:`DeadlineExceededError` without burning worker
-        time on plan work.  ``fingerprint`` lets a caller that already
-        hashed the matrix (the cluster dispatcher computes it once at
-        publish time) skip re-hashing; it must be the digest of exactly
-        this matrix — a wrong value silently serves the wrong plan.
+        time on plan work.
         """
         if not self.running:
             raise ServeError("engine is not running (call start())")
@@ -799,7 +792,7 @@ class ServingEngine:
         effective_deadline = (
             deadline if deadline is not None else self.config.default_deadline
         )
-        key = fingerprint if fingerprint is not None else _fingerprint(matrix)
+        key = _fingerprint(matrix)
         future: "Future[ServeResult]" = Future()
         request = _Request(
             key,
@@ -843,18 +836,16 @@ class ServingEngine:
         xs: Sequence[np.ndarray],
         timeout: Optional[float] = None,
         deadlines: Optional[Sequence[Optional[float]]] = None,
-        fingerprint: Optional[Fingerprint] = None,
     ) -> List["Future[ServeResult]"]:
         """Enqueue a same-matrix burst atomically; one future per vector.
 
         The requests land in the submission queue in one step, so a
         worker's ``take_batch`` sees the whole burst at once and (when
         ``max_batch_rhs`` allows) executes it as a single SpMM — even
-        with ``batch_window == 0``.  This is the in-process fan-in entry
-        point; the cluster dispatches singles, so batching happens only
-        inside an engine.  ``deadlines`` gives each member its own
-        end-to-end budget (None entries fall back to the config default);
-        deadlines, retries and failures stay per-request inside the batch.
+        with ``batch_window == 0``.  ``deadlines`` gives each member its
+        own end-to-end budget (None entries fall back to the config
+        default); deadlines, retries and failures stay per-request inside
+        the batch.
         """
         if not self.running:
             raise ServeError("engine is not running (call start())")
@@ -865,7 +856,7 @@ class ServingEngine:
             )
         if not xs:
             return []
-        key = fingerprint if fingerprint is not None else _fingerprint(matrix)
+        key = _fingerprint(matrix)
         requests: List[_Request] = []
         tracer = obs.get_tracer()
         for i, x in enumerate(xs):
@@ -924,12 +915,10 @@ class ServingEngine:
         x: np.ndarray,
         timeout: Optional[float] = None,
         deadline: Optional[float] = None,
-        fingerprint: Optional[Fingerprint] = None,
     ) -> ServeResult:
         """Synchronous convenience wrapper over :meth:`submit`."""
         return self.submit(
-            matrix, x, timeout=timeout, deadline=deadline,
-            fingerprint=fingerprint,
+            matrix, x, timeout=timeout, deadline=deadline
         ).result()
 
     def spmv_many(
@@ -1687,8 +1676,8 @@ class ServingEngine:
     # Hot-swap observation + single-flight and breaker registries
     # ------------------------------------------------------------------
     def _observe_model_epoch(self) -> None:
-        """Count tuner model hot-swaps (OnlineSmat retrains or cluster
-        model pushes) that happened since the last cold decision."""
+        """Count tuner model hot-swaps (OnlineSmat retrains or installed
+        models) that happened since the last cold decision."""
         epoch = getattr(self.tuner, "model_epoch", None)
         if epoch is None:
             return

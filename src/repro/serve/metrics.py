@@ -18,32 +18,13 @@ scoreboard always show them, fired or not): resilience
 ``cascade_floor_decisions`` for the stage that produced each cold
 decision, ``ruleset_swaps`` for live model hot-swaps observed while
 serving).
-
-Fork-safety and multi-process aggregation
------------------------------------------
-A registry is **process-local**: its locks and values live in one
-interpreter, and nothing here shares state across processes.  Two rules
-keep multi-process serving (``repro.cluster``) honest:
-
-* Worker processes must be started with the ``spawn`` start method, never
-  ``fork``.  A forked child inherits a bit-for-bit copy of the parent's
-  registry — counts that the parent already reported — so the child's
-  later snapshots would double-count the pre-fork history (and a lock
-  held mid-``inc`` at fork time deadlocks the child).  ``spawn`` gives
-  every worker a registry that provably starts at zero.
-* Workers ship *cumulative* snapshots (never deltas); the aggregator
-  keeps the **latest** snapshot per worker incarnation and merges those
-  with :func:`merge_snapshots`.  Last-write-wins over cumulative values
-  is idempotent — a repeated or replayed heartbeat cannot double-count,
-  and a crashed worker's final snapshot keeps contributing after its
-  replacement starts from zero under a new incarnation key.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 #: Default histogram bucket upper bounds, in seconds.  Log-spaced from 10µs
 #: to 10s — wide enough for both the simulated backend (sub-ms) and real
@@ -148,12 +129,28 @@ class Histogram:
             raise ValueError(f"quantile must be in (0, 1], got {q}")
         with self._lock:
             counts, top = list(self._counts), self._max
-        return _bucket_quantile(self.buckets, counts, top, q)
+        # Interpolate within the winning bucket, capped at the observed
+        # maximum: uncapped, a decade-wide bucket interpolates up to its
+        # upper bound, so a p99 could read several times the largest
+        # observation.
+        total = sum(counts)
+        if total == 0:
+            return 0.0
+        target = q * total
+        seen = 0
+        lower = 0.0
+        for i, bucket_count in enumerate(counts):
+            upper = min(self.buckets[i], top) if i < len(self.buckets) else top
+            if seen + bucket_count >= target and bucket_count > 0:
+                fraction = (target - seen) / bucket_count
+                return lower + fraction * (upper - lower)
+            seen += bucket_count
+            lower = upper
+        return top
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
             count, total, top = self._count, self._sum, self._max
-            counts = list(self._counts)
         return {
             "count": count,
             "sum": total,
@@ -161,12 +158,6 @@ class Histogram:
             "max": top,
             "p50": self.quantile(0.5),
             "p99": self.quantile(0.99),
-            # Raw bucket state so snapshots from different processes can
-            # be merged (and quantiles re-estimated) without sharing the
-            # live instrument: bounds plus per-bucket counts, the last
-            # entry being the +inf overflow bucket.
-            "bounds": list(self.buckets),
-            "counts": counts,
         }
 
 
@@ -241,7 +232,7 @@ class MetricsRegistry:
 
 
 def format_snapshot(snap: Dict[str, Dict]) -> str:
-    """Render one (possibly merged) snapshot as the text scoreboard."""
+    """Render one registry snapshot as the text scoreboard."""
     lines: List[str] = []
     if snap.get("counters"):
         lines.append("counters:")
@@ -270,99 +261,6 @@ def format_snapshot(snap: Dict[str, Dict]) -> str:
                 f"mean={h['mean']:.2f} max={h['max']:g}"
             )
     return "\n".join(lines) if lines else "no metrics recorded"
-
-
-def _bucket_quantile(
-    bounds: Sequence[float], counts: List[int], top: float, q: float
-) -> float:
-    """Estimate a quantile from bucket counts by linear interpolation
-    within the winning bucket, capped at the observed maximum ``top``.
-
-    Without the cap a decade-wide bucket interpolates up to its upper
-    bound, so a p99 could read several times the largest observation.
-    """
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    target = q * total
-    seen = 0
-    lower = 0.0
-    for i, bucket_count in enumerate(counts):
-        upper = min(bounds[i], top) if i < len(bounds) else top
-        if seen + bucket_count >= target and bucket_count > 0:
-            fraction = (target - seen) / bucket_count
-            return lower + fraction * (upper - lower)
-        seen += bucket_count
-        lower = upper
-    return top
-
-
-def _merge_histograms(per_name: List[Dict]) -> Dict[str, object]:
-    """Merge same-name histogram snapshots; bucket-exact when bounds agree."""
-    count = sum(int(h["count"]) for h in per_name)
-    total = sum(float(h["sum"]) for h in per_name)
-    top = max(float(h["max"]) for h in per_name)
-    merged: Dict[str, object] = {
-        "count": count,
-        "sum": total,
-        "mean": total / count if count else 0.0,
-        "max": top,
-    }
-    bounds_seen = [h.get("bounds") for h in per_name]
-    if all(b is not None for b in bounds_seen) and len(
-        {tuple(b) for b in bounds_seen}
-    ) == 1:
-        bounds = list(bounds_seen[0])
-        counts = [0] * (len(bounds) + 1)
-        for h in per_name:
-            for i, c in enumerate(h["counts"]):
-                counts[i] += int(c)
-        merged["bounds"] = bounds
-        merged["counts"] = counts
-        merged["p50"] = _bucket_quantile(bounds, counts, top, 0.5)
-        merged["p99"] = _bucket_quantile(bounds, counts, top, 0.99)
-    else:
-        # Pre-bucket snapshots (or mismatched bucketing): quantiles can't
-        # be reconstructed exactly, so report the worst contributor —
-        # pessimistic but never misleadingly optimistic.
-        merged["p50"] = max(float(h.get("p50", 0.0)) for h in per_name)
-        merged["p99"] = max(float(h.get("p99", 0.0)) for h in per_name)
-    return merged
-
-
-def merge_snapshots(snapshots: Iterable[Dict[str, Dict]]) -> Dict[str, Dict]:
-    """Combine per-process registry snapshots into one aggregate.
-
-    Counters and gauges sum (the gauges the engine exports — queue depth,
-    cache entries, cache bytes — are all fleet-additive); histograms merge
-    bucket-by-bucket when their bounds agree, so merged quantiles use the
-    same interpolation a single registry would.
-
-    The caller is responsible for the *one snapshot per source* contract:
-    feed the latest cumulative snapshot from each worker incarnation,
-    never two snapshots of the same incarnation (see the module docstring
-    on fork-safety — this is why workers ship cumulative values).
-    """
-    counters: Dict[str, int] = {}
-    gauges: Dict[str, float] = {}
-    histogram_parts: Dict[str, List[Dict]] = {}
-    for snap in snapshots:
-        if not snap:
-            continue
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + int(value)
-        for name, value in snap.get("gauges", {}).items():
-            gauges[name] = gauges.get(name, 0.0) + float(value)
-        for name, h in snap.get("histograms", {}).items():
-            histogram_parts.setdefault(name, []).append(h)
-    return {
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": {
-            name: _merge_histograms(parts)
-            for name, parts in sorted(histogram_parts.items())
-        },
-    }
 
 
 def _fmt(seconds: float) -> str:

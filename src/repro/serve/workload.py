@@ -358,9 +358,8 @@ def replay(
 ) -> ReplayReport:
     """Run each client's op list on its own thread against ``target``.
 
-    ``target`` is a :class:`~repro.serve.ServingEngine` or (for bursts
-    only) a :class:`~repro.cluster.ClusterDispatcher`.  A client runs its
-    ops in order and waits for a burst's products before its next op,
+    ``target`` is a :class:`~repro.serve.ServingEngine`.  A client runs
+    its ops in order and waits for a burst's products before its next op,
     which is how real callers use a shared service.  A width-1 burst goes
     through ``submit``, a wider one through ``submit_batch``; a delta goes
     through ``apply_structure_delta`` with the run's one

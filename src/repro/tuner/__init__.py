@@ -24,7 +24,6 @@ from repro.tuner.search import (
     search_kernels,
 )
 from repro.tuner.online import OnlineSmat
-from repro.tuner.stats import DecisionLog, LoggingSmat
 from repro.tuner.smat import (
     SMAT,
     PreparedSpMV,
@@ -35,8 +34,6 @@ from repro.tuner.smat import (
 __all__ = [
     "DEFAULT_CONFIDENCE_THRESHOLD",
     "Decision",
-    "DecisionLog",
-    "LoggingSmat",
     "OnlineSmat",
     "FALLBACK_CANDIDATES",
     "KernelSearchResult",

@@ -124,7 +124,7 @@ class OnlineSmat:
         return True
 
     def install_model(self, model: LearningModel) -> int:
-        """Hot-swap an externally trained model (cluster model push).
+        """Hot-swap an externally trained model.
 
         Returns the new epoch.  Does not count as a retrain — the
         training happened elsewhere.

@@ -94,10 +94,8 @@ class Decision:
     features: Optional[FeatureVector] = None
     #: Backend-specialized kernel (a compiled codegen artifact) that beat
     #: ``kernel`` on this matrix; ``None`` keeps the registry kernel.
-    #: Runtime state like ``matrix`` — never serialized, rebuilt locally
-    #: from structure wherever the decision is replayed (cluster workers
-    #: re-warm through their own engine, so only the backend *name* ever
-    #: crosses a process boundary).
+    #: Runtime state like ``matrix`` — never serialized; a reloaded
+    #: decision rebuilds it from structure.
     compiled_kernel: Optional[Kernel] = None
 
     @property

@@ -159,6 +159,57 @@ class TestServeBench:
         assert code == 1
         assert "must be >=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        # Conflicts (--online-retrain implies --online).
+        (("--structure-churn", "3", "--fan-in", "4"),
+         "--structure-churn cannot be combined with --fan-in"),
+        (("--structure-churn", "3", "--value-churn", "3"),
+         "--structure-churn cannot be combined with --value-churn"),
+        (("--structure-churn", "3", "--online"),
+         "--structure-churn cannot be combined with --online"),
+        (("--fan-in", "4", "--value-churn", "3"),
+         "--fan-in cannot be combined with --value-churn"),
+        (("--fan-in", "4", "--online"),
+         "--fan-in cannot be combined with --online"),
+        (("--fan-in", "4", "--online-retrain"),
+         "--fan-in cannot be combined with --online"),
+        # Dependencies.
+        (("--bench-json", "bench.json"),
+         "--bench-json needs --fan-in or --structure-churn"),
+        (("--bench-json", "bench.json", "--value-churn", "3"),
+         "--bench-json needs --fan-in or --structure-churn"),
+        # Ranges.
+        (("--tune-budget", "0"), "--tune-budget (0.0) must be > 0"),
+        (("--fan-in", "0"), "--fan-in (0) must be >= 1"),
+        (("--value-churn", "1"),
+         "--value-churn (1) must be >= 2 (one base build plus at least "
+         "one value update)"),
+        (("--structure-churn", "1"),
+         "--structure-churn (1) must be >= 2 (at least one delta between "
+         "serve rounds)"),
+        (("--structure-churn", "3", "--churn-fraction", "0"),
+         "--churn-fraction (0.0) must be in (0, 1]"),
+        (("--structure-churn", "3", "--churn-fraction", "1.5"),
+         "--churn-fraction (1.5) must be in (0, 1]"),
+        (("--structure-churn", "3", "--churn-nodes", "15"),
+         "--churn-nodes (15) must be >= 16"),
+        (("--matrices", "10", "--requests", "5"),
+         "--requests (5) must be >= --matrices (10) so every matrix is "
+         "requested at least once"),
+    ])
+    def test_refusal_table(self, capsys, flags, message) -> None:
+        # Refused before training, so each case costs milliseconds.
+        assert main(["serve-bench", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags", [
+        ("--cluster",), ("--crash-after", "3"),
+    ])
+    def test_deleted_cluster_flags_are_unknown(self, flags) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-bench", *flags])
+        assert excinfo.value.code == 2
+
 
 def _serve_bench(capsys, *flags: str):
     """Run a small serve-bench; returns (exit code, stdout, stderr)."""
@@ -221,15 +272,6 @@ class TestServeBenchModes:
         )
         assert code == 0, err
         assert re.search(r"plans_refreshed\s+4\n", out)
-
-    @pytest.mark.timeout(120)
-    def test_cluster_pickles_no_operand_bytes(self, capsys) -> None:
-        code, out, err = _serve_bench(
-            capsys, "--cluster", "--workers", "1", "--matrices", "2",
-            "--requests", "4", "--clients", "1",
-        )
-        assert code == 0, err
-        assert re.search(r"zero-copy\s*: 0 operand bytes pickled", out)
 
     def test_online_retrain_swaps_the_ruleset(self, capsys) -> None:
         code, out, err = _serve_bench(

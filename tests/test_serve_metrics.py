@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.serve import MetricsRegistry
-from repro.serve.metrics import Counter, Gauge, Histogram
+from repro.serve.metrics import Counter, Gauge, Histogram, format_snapshot
 
 
 class TestCounter:
@@ -124,3 +124,14 @@ class TestRegistry:
 
     def test_empty_report(self) -> None:
         assert MetricsRegistry().report() == "no metrics recorded"
+
+
+class TestFormatSnapshot:
+    def test_report_round_trips_through_format_snapshot(self) -> None:
+        registry = MetricsRegistry()
+        registry.counter("served").inc(4)
+        registry.histogram("total_seconds").observe(0.1)
+        assert registry.report() == format_snapshot(registry.snapshot())
+
+    def test_empty_snapshot_renders_placeholder(self) -> None:
+        assert format_snapshot({}) == "no metrics recorded"

@@ -1,6 +1,5 @@
-"""SpMM fast-path tests: kernels and registry, engine batch coalescing,
-and same-matrix fan-in through the sharded cluster, which dispatches
-every request as a single SpMV (batching happens only inside an engine).
+"""SpMM fast-path tests: kernels and registry, and engine batch
+coalescing of same-matrix fan-in.
 
 The bitwise assertions lean on the same dyadic-value trick as the
 differential sweep (exact products, order-free sums), so a batched
@@ -265,32 +264,3 @@ class TestEngineBatching:
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
 
-
-# ---------------------------------------------------------------------------
-# Cluster fan-in (real spawn fleet)
-# ---------------------------------------------------------------------------
-class TestClusterCoalescing:
-    def test_fan_in_coalesced_at_dispatch(self, smat, rng) -> None:
-        """Twelve concurrent same-matrix submits outstanding on one shard.
-
-        The dispatcher sends each as its own descriptor-only
-        ``ShardRequest``; every product must come back bitwise exact, on
-        its own slots, with no operand bytes pickled.
-        """
-        from repro.cluster import ClusterConfig, ClusterDispatcher, WorkerSpec
-
-        matrix = with_dyadic_data(
-            random_csr(rng, n_rows=120, n_cols=120), rng
-        )
-        xs = [dyadic_operand(rng, 120) for _ in range(12)]
-        spec = WorkerSpec(tuner=smat)
-        with ClusterDispatcher(spec, ClusterConfig(workers=1)) as cluster:
-            cluster.spmv(matrix, xs[0])  # publish + warm the plan
-            futures = [cluster.submit(matrix, x) for x in xs]
-            results = [f.result(timeout=60) for f in futures]
-            counters = cluster.metrics.snapshot()["counters"]
-        assert counters["operand_bytes_pickled"] == 0
-        assert counters["requests_served"] == 13
-        for x, result in zip(xs, results):
-            assert result.shard_id == 0
-            assert np.array_equal(result.y, matrix.spmv(x, reference=True))

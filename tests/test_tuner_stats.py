@@ -1,16 +1,14 @@
-"""DecisionLog / LoggingSmat and ruleset C-export tests."""
+"""Ruleset C-export tests."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.collection import banded, generate_collection, graphs
+from repro.collection import generate_collection
 from repro.io.ruleset_export import export_ruleset_c
 from repro.machine import INTEL_XEON_X5680, SimulatedBackend
 from repro.tuner import SMAT
-from repro.tuner.stats import DecisionLog, LoggingSmat
-from repro.types import FormatName, Precision
+from repro.types import Precision
 
 
 @pytest.fixture(scope="module")
@@ -20,44 +18,6 @@ def smat():
         generate_collection(scale=0.08, size_scale=0.4, seed=77),
         backend=backend,
     )
-
-
-class TestDecisionLog:
-    def test_empty_log(self) -> None:
-        log = DecisionLog()
-        assert len(log) == 0
-        assert log.fallback_rate() == 0.0
-        assert log.mean_confidence() is None
-        assert log.describe() == "no decisions recorded"
-
-    def test_logging_smat_records_decisions(self, smat) -> None:
-        logged = LoggingSmat(smat)
-        matrices = [
-            banded.banded_matrix(1500, 5, seed=1),
-            graphs.power_law_graph(2500, exponent=2.2, seed=2),
-            graphs.uniform_bipartite(2000, 2000, 3, seed=3),
-        ]
-        for matrix in matrices:
-            y, decision = logged.spmv(matrix, np.ones(matrix.n_cols))
-            np.testing.assert_allclose(y, matrix.spmv(np.ones(matrix.n_cols)),
-                                       atol=1e-9)
-        assert len(logged.log) == 3
-        counts = logged.log.format_counts()
-        assert sum(counts.values()) == 3
-        assert FormatName.DIA in counts
-
-    def test_aggregates(self, smat) -> None:
-        logged = LoggingSmat(smat)
-        for seed in range(4):
-            logged.decide(banded.banded_matrix(1200, 5, seed=seed))
-        assert logged.log.total_overhead_units() > 0
-        assert 0.0 <= logged.log.fallback_rate() <= 1.0
-        assert "decisions" in logged.log.describe()
-
-    def test_wrapper_delegates_attributes(self, smat) -> None:
-        logged = LoggingSmat(smat)
-        assert logged.model is smat.model
-        assert logged.kernels is smat.kernels
 
 
 class TestRulesetExport:
