@@ -6,19 +6,30 @@ k times.  These kernels make **one** pass: the RHS vectors are stacked
 column-wise into a dense ``(n_cols, k)`` block and every gathered operand
 element multiplies a k-wide row of X.
 
+One pass saves operand traffic, but it does not make SpMM faster than k
+calls of a plan's *serving* kernel, which is often compiled for the
+plan's structure while these kernels are generic and pay for the
+stacking and k-wide gathers.  On a Zipf-hot pool of 8k-60k nnz
+matrices, DIA SpMM lost to k compiled DIA SpMVs on every plan at k <= 4
+and on most plans at k = 8 and 32, and CSR SpMM won only at k = 32.
+The serving engine therefore measures the crossover per plan and width
+(:class:`repro.serve.plancache.SpmmVerdicts`) and stacks a group only
+where SpMM won.
+
 The kernels are *blocked* where it matters: a naive CSR SpMM would
 materialise an ``(nnz, k)`` product buffer — DRAM-bound for exactly the
 matrices worth batching.  The CSR kernel instead groups rows by exact
 degree (a jagged-diagonal-style reordering computed per call, no format
-conversion) and reduces each group with one ``einsum`` over a
-``(rows, d, k)`` gather, blocked to stay cache resident; rows heavier
+conversion) and reduces each group with one ``einsum`` over a slot-major
+``(d, rows, k)`` gather, blocked to stay cache resident; rows heavier
 than :data:`HEAVY_ROW_DEGREE` take a segment-sum path so skewed
 matrices never degrade the grouped loop.
 
 Registration is a plain per-format table, separate from the SpMV strategy
 scoreboard: SpMM is a serving-layer fast path keyed only on format, not a
-tuner search dimension.  Formats without a native kernel degrade
-transparently through :func:`spmm_fallback` (column-by-column SpMV).
+tuner search dimension.  :func:`spmm_fallback` runs any other format
+column by column through an SpMV callable; the engine never stacks such
+plans, since that fallback cannot beat the serving kernel it repeats.
 """
 
 from __future__ import annotations
@@ -39,6 +50,13 @@ from repro.types import FormatName
 #: enough to stay cache resident, large enough to amortise the per-block
 #: Python overhead.
 BLOCK_ELEMS = 512_000
+
+#: The CSR kernel's block is smaller: its gathers are fresh temporaries
+#: on every call, and 4 MiB ones page-fault on first touch.  On a
+#: 2,000-row banded matrix at k = 64, a fresh process's second call took
+#: 4.4-4.8 ms with 4 MiB blocks and about 2.0 ms with 64k-element
+#: (500 KiB) blocks; warm calls take 1.2-2.1 ms either way.
+CSR_BLOCK_ELEMS = 64_000
 
 #: Rows with more stored elements than this skip the degree-grouped
 #: einsum (which would spend one group per distinct degree) and reduce
@@ -124,13 +142,13 @@ def _csr_spmm_rows(
     """Degree-grouped CSR SpMM over rows ``[row_lo, row_hi)`` into ``Y``.
 
     Rows are bucketed by exact degree; each bucket is a rectangular
-    ``(rows, d)`` slab reduced with one ``einsum("rd,rdk->rk")`` — the
-    ELL kernel's shape without paying for an ELL conversion or any fill.
-    No ``(nnz, k)`` product buffer ever exists: the reduction happens
-    inside the einsum, and row blocks cap the gathered X slab at
-    ~``BLOCK_ELEMS`` values.  Rows heavier than ``HEAVY_ROW_DEGREE``
-    fall through to a blocked segment-sum sweep so one hub row cannot
-    force thousands of single-degree groups.
+    slab gathered slot-major, ``(d, rows)``, and reduced with one
+    ``einsum("dr,drk->rk")`` — the ELL kernel's shape without paying for
+    an ELL conversion or any fill.  No ``(nnz, k)`` product buffer ever
+    exists: the reduction happens inside the einsum, and row blocks cap
+    the gathered X slab at ~``CSR_BLOCK_ELEMS`` values.  Rows heavier
+    than ``HEAVY_ROW_DEGREE`` fall through to a blocked segment-sum
+    sweep so one hub row cannot force thousands of single-degree groups.
     """
     ptr, indices, data = matrix.ptr, matrix.indices, matrix.data
     deg = np.diff(ptr[row_lo : row_hi + 1])
@@ -149,12 +167,13 @@ def _csr_spmm_rows(
         b = int(np.searchsorted(deg_sorted, d + 1, side="left"))
         rows = order[a:b]
         starts = ptr[row_lo + rows]
-        block = max(1, BLOCK_ELEMS // (d * k))
+        slots = np.arange(d)[:, None]
+        block = max(1, CSR_BLOCK_ELEMS // (d * k))
         for blk_lo in range(0, rows.size, block):
             blk_hi = min(rows.size, blk_lo + block)
-            idx = starts[blk_lo:blk_hi, None] + np.arange(d)
+            idx = slots + starts[None, blk_lo:blk_hi]
             Y[row_lo + rows[blk_lo:blk_hi]] = np.einsum(
-                "rd,rdk->rk", data[idx], X[indices[idx], :]
+                "dr,drk->rk", data[idx], X[indices[idx]]
             )
         a = b
     if heavy_start < deg.size:
@@ -169,7 +188,7 @@ def _csr_spmm_rows(
             + np.arange(total)
             - np.repeat(h_ptr[:-1], h_deg)
         )
-        n_blocks = max(1, -(-(total * k) // BLOCK_ELEMS))
+        n_blocks = max(1, -(-(total * k) // CSR_BLOCK_ELEMS))
         bounds = np.searchsorted(
             h_ptr, np.linspace(0, total, n_blocks + 1)
         )

@@ -177,12 +177,13 @@ CODEGEN_TIMING_TRIALS = 5
 CODEGEN_GATED_SUITES = ("quick", "full")
 
 #: Fixed floors for the batched fast path, checked regardless of the
-#: ``--assert-speedup`` value: SpMM ops measure against *sequential
-#: vectorized SpMV* (not a Python loop), so the generic floor does not
-#: apply — at small batch widths the stacking overhead can even lose to
-#: the sequential sweep, which is precisely why serving only batches at
-#: high fan-in.  The one hard promise is that CSR at batch 64 amortises
-#: the operand traffic at least 3x.
+#: ``--assert-speedup`` value.  SpMM ops measure against k calls of the
+#: *generic* vectorized SpMV (not a Python loop), so the generic floor
+#: does not apply.  Nor do they say when serving should stack: a plan
+#: often serves with a compiled kernel that k SpMM columns cannot beat,
+#: so the engine measures that crossover per plan and width
+#: (``serve.plancache.SpmmVerdicts``).  The one hard promise here is
+#: that CSR at batch 64 amortises the operand traffic at least 3x.
 SPMM_GATES = {"spmm/csr_b64": 3.0}
 
 

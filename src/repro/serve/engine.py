@@ -27,11 +27,14 @@ into a persistent service.  The pipeline per request:
 5. **execute** the chosen kernel — transient failures are retried with
    bounded exponential backoff — and resolve the caller's future.  When
    ≥ 2 batch members survive their deadline checks and ``max_batch_rhs``
-   allows, their vectors are stacked column-wise and the whole group runs
-   as **one SpMM** (a single pass over the sparse operand); a batched
-   failure falls back to per-request SpMV so deadlines, retries and
-   faults keep per-request semantics.  ``batch_window`` lets a worker
-   linger at dequeue to absorb a same-fingerprint burst first.
+   allows, the group may run as **one SpMM** (a single pass over the
+   sparse operand): only on a plan with a native SpMM kernel, and only
+   at widths where the plan's measured verdict says SpMM beat k calls of
+   its serving kernel (:class:`~repro.serve.plancache.SpmmVerdicts`).
+   Other groups run member by member.  A batched failure falls back to
+   per-request SpMV so deadlines, retries and faults keep per-request
+   semantics.  ``batch_window`` lets a worker linger at dequeue to absorb
+   a same-fingerprint burst first.
 
 Future resolution is always routed through the ``_try_*`` helpers: a
 caller can cancel its future at any instant, and an unguarded
@@ -118,11 +121,14 @@ _REFRESH_COUNTERS = (
 )
 
 #: Batched-execution instruments: a fan-in workload that never coalesces
-#: into an SpMM (window 0, or max_batch_rhs 1) must read as zero — the
-#: fan-in smoke test gates on ``spmm_batches_total`` moving.
+#: into an SpMM (window 0, or max_batch_rhs 1) must read as zero.
+#: ``spmm_batches_total`` counts groups stacked into one SpMM and
+#: ``spmm_groups_unstacked`` groups served member by member (no native
+#: SpMM kernel, a degraded plan, or a verdict for the serving kernel).
 _SPMM_COUNTERS = (
     "spmm_batches_total",
     "spmm_requests_batched",
+    "spmm_groups_unstacked",
     "spmm_fallbacks",
 )
 
@@ -193,6 +199,8 @@ class ServeConfig:
     #: so results can differ from sequential serving in the low-order
     #: bits.  Opt in where fan-in throughput matters more than run-to-run
     #: bit identity (exact-arithmetic workloads lose nothing either way).
+    #: Even then a group is stacked only where the plan's measured
+    #: verdict says SpMM wins at its width.
     max_batch_rhs: int = 1
     #: Plan-cache entry cap.
     cache_entries: int = 128
@@ -1205,14 +1213,15 @@ class ServingEngine:
         index: int,
         request: _Request,
         dequeued_at: float,
-    ) -> None:
-        """Serve one already-RUNNING request as a plain SpMV."""
+    ) -> bool:
+        """Serve one already-RUNNING request as a plain SpMV; True when
+        it was served, False when it failed (already resolved)."""
         if self._fail_if_expired(request):
-            return
+            return False
         queued = dequeued_at - request.enqueued_at
         outcome = self._execute_with_retry(resolution, request)
         if outcome is None:
-            return  # failed; already metered, resolved and traced
+            return False  # failed; already metered, resolved and traced
         y, execute_seconds, retries = outcome
         self._finish_request(
             resolution,
@@ -1224,6 +1233,19 @@ class ServingEngine:
             retries,
             batch_size=1,
         )
+        return True
+
+    def _serve_each(
+        self,
+        resolution: _Resolution,
+        members: Sequence[Tuple[int, _Request]],
+        dequeued_at: float,
+    ) -> int:
+        """Serve members one SpMV at a time; returns how many were served."""
+        return sum(
+            self._serve_one(resolution, index, request, dequeued_at)
+            for index, request in members
+        )
 
     def _execute_spmm_group(
         self,
@@ -1231,27 +1253,58 @@ class ServingEngine:
         group: Sequence[Tuple[int, _Request]],
         dequeued_at: float,
     ) -> None:
-        """One multi-RHS pass for a same-fingerprint group.
+        """Serve a same-fingerprint group: one SpMM, or member by member.
 
-        Members past their deadline are excluded *before* stacking (and
-        failed per-request); the survivors' vectors are stacked into one
-        dense RHS block and executed under a single ``serve.execute``
-        span carrying a ``batch_size`` attribute.  If the batched pass
-        fails — injected fault or real — the whole group falls back to
-        per-request SpMV so one poisoned request cannot fail its
-        batchmates; retries, deadlines and fault injection then apply
-        individually, exactly as for unbatched requests.
+        Members past their deadline are excluded first (and failed
+        per-request).  The survivors are stacked into one SpMM only when
+        the plan has a native SpMM kernel and its verdict for this width
+        says SpMM beats k calls of the serving kernel; degraded plans
+        never stack.  While the width's verdict is still open, the group
+        runs whichever path is due and its per-RHS wall time — from the
+        first kernel call to the last future resolved — becomes one
+        sample of that path.
         """
         live = [
             (index, request)
             for index, request in group
             if not self._fail_if_expired(request)
         ]
-        if not live:
+        plan = resolution.plan
+        if len(live) < 2 or resolution.degraded or not plan.native_spmm:
+            if len(live) >= 2:
+                self.metrics.counter("spmm_groups_unstacked").inc()
+            self._serve_each(resolution, live, dequeued_at)
             return
-        if len(live) == 1:
-            self._serve_one(resolution, live[0][0], live[0][1], dequeued_at)
-            return
+        k = len(live)
+        stack, measuring = plan.verdicts.choose(k)
+        started = time.perf_counter()
+        if stack:
+            served = self._execute_stacked(resolution, live, dequeued_at)
+        else:
+            self.metrics.counter("spmm_groups_unstacked").inc()
+            served = self._serve_each(resolution, live, dequeued_at)
+        if measuring and served == k:
+            plan.verdicts.record(
+                k, stack, (time.perf_counter() - started) / k
+            )
+
+    def _execute_stacked(
+        self,
+        resolution: _Resolution,
+        live: Sequence[Tuple[int, _Request]],
+        dequeued_at: float,
+    ) -> int:
+        """One multi-RHS pass; returns how many members it served.
+
+        The survivors' vectors are stacked into one dense RHS block and
+        executed under a single ``serve.execute`` span carrying a
+        ``batch_size`` attribute.  If the batched pass fails — injected
+        fault or real — the whole group falls back to per-request SpMV
+        so one poisoned request cannot fail its batchmates; retries,
+        deadlines and fault injection then apply individually, exactly
+        as for unbatched requests.  A fallback returns 0: its timing is
+        no sample of either path.
+        """
         # The injected-fault hook can sleep (latency faults), so it runs
         # before the deadline sweep below: a member whose budget expires
         # while the hook stalls must resolve DeadlineExceededError, not
@@ -1261,19 +1314,16 @@ class ServingEngine:
                 self.faults.on_call("spmm")
             except Exception:
                 self.metrics.counter("spmm_fallbacks").inc()
-                for index, request in live:
-                    self._serve_one(resolution, index, request, dequeued_at)
-                return
+                self._serve_each(resolution, live, dequeued_at)
+                return 0
         live = [
             (index, request)
             for index, request in live
             if not self._fail_if_expired(request)
         ]
-        if not live:
-            return
-        if len(live) == 1:
-            self._serve_one(resolution, live[0][0], live[0][1], dequeued_at)
-            return
+        if len(live) < 2:
+            self._serve_each(resolution, live, dequeued_at)
+            return 0
         k = len(live)
         head = live[0][1]
         tracer = obs.get_tracer()
@@ -1299,9 +1349,8 @@ class ServingEngine:
             # own request.  Futures are already RUNNING — _serve_one does
             # not re-mark them.
             self.metrics.counter("spmm_fallbacks").inc()
-            for index, request in live:
-                self._serve_one(resolution, index, request, dequeued_at)
-            return
+            self._serve_each(resolution, live, dequeued_at)
+            return 0
         self.metrics.counter("spmm_batches_total").inc()
         self.metrics.counter("spmm_requests_batched").inc(k)
         self.metrics.histogram(
@@ -1320,6 +1369,7 @@ class ServingEngine:
                 0,
                 batch_size=k,
             )
+        return k
 
     def _fail_if_expired(self, request: _Request) -> bool:
         """Fail an already-RUNNING request whose deadline has expired."""
@@ -1454,6 +1504,8 @@ class ServingEngine:
 
     def _observe(self, result: ServeResult) -> None:
         self.metrics.counter("requests_served").inc()
+        if result.cache_hit:
+            self.metrics.counter("cache_hits").inc()
         if result.degraded:
             self.metrics.counter("degraded_requests").inc()
         self.metrics.histogram("queue_wait_seconds").observe(
@@ -1477,7 +1529,6 @@ class ServingEngine:
         started = time.perf_counter()
         plan = self.cache.get(key)
         if plan is not None:
-            self.metrics.counter("cache_hits").inc()
             return _Resolution(
                 plan, True, time.perf_counter() - started, False
             )
@@ -1508,7 +1559,6 @@ class ServingEngine:
                 # waited on the single-flight lock.
                 plan = self.cache.get(key, record_stats=False)
                 if plan is not None:
-                    self.metrics.counter("cache_hits").inc()
                     if breaker.record_success():
                         self.metrics.counter("breaker_recovered").inc()
                     return _Resolution(
@@ -1601,6 +1651,7 @@ class ServingEngine:
             key=key,
             decision=replace(donor.decision, matrix=refreshed),
             matrix_bytes=refreshed.memory_bytes(),
+            verdicts=donor.verdicts,
         )
         self.metrics.counter("structure_hits").inc()
         self.metrics.counter("plans_refreshed").inc()

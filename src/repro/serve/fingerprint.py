@@ -6,14 +6,19 @@ fingerprint has two parts:
 
 * cheap scalars (shape, nnz, dtype) that reject most non-matches without
   hashing anything, and
-* a BLAKE2b digest over the CSR arrays — the row pointer (structure), the
-  column indices (pattern) and the value bytes.
+* a SHA-256 digest, truncated to 16 bytes, over the CSR arrays — the row
+  pointer (structure), the column indices (pattern) and the value bytes.
 
 Values are included deliberately: the cache stores the *converted matrix*,
 so two matrices with identical structure but different values must not
-collide (they would silently serve each other's products).  Hashing runs at
-memory bandwidth, a fraction of one feature-extraction pass — see
-DESIGN.md's plan-cache section for the cost accounting.
+collide (they would silently serve each other's products).
+
+Every request pays the hash at submit, so it is the largest fixed cost of
+a cached request.  ``hashlib.sha256`` is OpenSSL's, which uses the CPU's
+SHA extensions where present: about 1.1 GB/s on a 2-vCPU SHA-NI host,
+against about 390 MB/s for BLAKE2b there (0.41 ms against 1.17 ms for a
+26,596-nnz matrix).  The arrays' own buffers are fed to the hash, so a
+C-contiguous matrix is hashed without copying it.
 """
 
 from __future__ import annotations
@@ -29,6 +34,18 @@ from repro.formats.csr import CSRMatrix
 #: Digest size in bytes.  16 bytes (128 bits) makes accidental collisions
 #: astronomically unlikely at any realistic cache population.
 _DIGEST_SIZE = 16
+
+
+def _structure_hash(matrix: CSRMatrix) -> "hashlib._Hash":
+    """SHA-256 state after the row pointer and the column indices."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(matrix.ptr))
+    h.update(np.ascontiguousarray(matrix.indices))
+    return h
+
+
+def _hex(h: "hashlib._Hash") -> str:
+    return h.digest()[:_DIGEST_SIZE].hex()
 
 
 @dataclass(frozen=True)
@@ -77,22 +94,20 @@ class Fingerprint:
 def fingerprint(matrix: CSRMatrix) -> Fingerprint:
     """Fingerprint a CSR matrix (one streaming pass over its arrays).
 
-    The structural digest comes for free: the hash state after ptr and
-    indices is forked before the value bytes are folded in, so one pass
-    yields both the value-inclusive tier-1 key and the structure-only
-    tier-2 key.
+    The structural digest comes for free: it is read from the hash state
+    after ptr and indices, before the value bytes are folded in, so one
+    pass yields both the value-inclusive tier-1 key and the
+    structure-only tier-2 key.
     """
-    h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-    h.update(np.ascontiguousarray(matrix.ptr).tobytes())
-    h.update(np.ascontiguousarray(matrix.indices).tobytes())
-    structural = h.copy()
-    h.update(np.ascontiguousarray(matrix.data).tobytes())
+    h = _structure_hash(matrix)
+    structural = _hex(h)
+    h.update(np.ascontiguousarray(matrix.data))
     return Fingerprint(
         shape=matrix.shape,
         nnz=matrix.nnz,
         dtype=str(matrix.dtype),
-        digest=h.hexdigest(),
-        structural=structural.hexdigest(),
+        digest=_hex(h),
+        structural=structural,
     )
 
 
@@ -105,7 +120,4 @@ def structural_digest(matrix: CSRMatrix) -> str:
     :func:`fingerprint` computes the identical digest as a by-product
     (``fingerprint(m).structural == structural_digest(m)``).
     """
-    h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-    h.update(np.ascontiguousarray(matrix.ptr).tobytes())
-    h.update(np.ascontiguousarray(matrix.indices).tobytes())
-    return h.hexdigest()
+    return _hex(_structure_hash(matrix))

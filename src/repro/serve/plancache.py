@@ -21,6 +21,11 @@ index holds no matrices of its own, so the byte budget is shared across
 both tiers by construction, and entries leave the index exactly when their
 plan leaves the store.
 
+Each plan also carries its :class:`SpmmVerdicts`: per power-of-two
+width, whether one SpMM beat k calls of the plan's serving kernel on
+live groups, which is what decides whether the engine stacks a
+same-fingerprint group.
+
 All operations are O(1) under one lock; the cache is shared by every
 engine worker.
 """
@@ -30,10 +35,74 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.kernels.spmm import spmm_fallback, spmm_kernel_for
 from repro.serve.fingerprint import Fingerprint, StructureKey
 from repro.tuner.runtime import Decision
+
+#: Timings each path needs before a width bucket's verdict is settled.
+#: One of each let a single noisy group pick a plan's path for good.
+VERDICT_SAMPLES = 3
+
+
+def width_bucket(k: int) -> int:
+    """The power-of-two bucket of a k-RHS group: 2-3 -> 2, 4-7 -> 4, ..."""
+    return 1 << (k.bit_length() - 1)
+
+
+class SpmmVerdicts:
+    """Per width bucket: does one SpMM beat k calls of the serving kernel?
+
+    Stacking a group saves operand traffic, but the serving kernel is
+    often compiled for this very structure while the SpMM kernel is
+    generic and pays for the stacking and its k-wide gathers.  Which path
+    wins depends on the plan and the width, so no fixed k* per format is
+    right.  The verdict is measured on live groups: while a bucket is
+    open its groups alternate between the two paths, each group running
+    exactly one of them, until each path has ``VERDICT_SAMPLES`` per-RHS
+    timings.  The path with the lower minimum then serves every later
+    group in that bucket.  Nothing is measured at plan build.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: bucket -> groups routed (stacked, per request) while open.
+        self._routed: Dict[int, List[int]] = {}
+        #: bucket -> per-RHS seconds (stacked, per request) while open.
+        self._samples: Dict[int, Tuple[List[float], List[float]]] = {}
+        #: bucket -> settled verdict (True stacks).
+        self._stack: Dict[int, bool] = {}
+
+    def choose(self, k: int) -> Tuple[bool, bool]:
+        """(stack this k-RHS group?, is it a measurement?)."""
+        bucket = width_bucket(k)
+        with self._lock:
+            stack = self._stack.get(bucket)
+            if stack is not None:
+                return stack, False
+            routed = self._routed.setdefault(bucket, [0, 0])
+            stack = routed[0] <= routed[1]
+            routed[0 if stack else 1] += 1
+            return stack, True
+
+    def record(self, k: int, stacked: bool, per_rhs: float) -> None:
+        """Add one measured group's per-RHS seconds to its bucket."""
+        bucket = width_bucket(k)
+        with self._lock:
+            if bucket in self._stack:
+                return
+            samples = self._samples.setdefault(bucket, ([], []))
+            samples[0 if stacked else 1].append(per_rhs)
+            if min(map(len, samples)) >= VERDICT_SAMPLES:
+                self._stack[bucket] = min(samples[0]) < min(samples[1])
+                del self._samples[bucket]
+                self._routed.pop(bucket, None)
+
+    def settled(self) -> Dict[int, bool]:
+        """Settled verdicts by bucket (True: the bucket's groups stack)."""
+        with self._lock:
+            return dict(self._stack)
 
 
 @dataclass
@@ -49,6 +118,11 @@ class CachedPlan:
     #: Storage footprint of the converted matrix (padding included).
     matrix_bytes: int
     hits: int = field(default=0)
+    #: Per-width verdicts on stacking a same-fingerprint group into one
+    #: SpMM.  A tier-2 refresh shares its donor's verdicts (same
+    #: structure, same kernels); a structure delta or a fresh build
+    #: starts new ones.
+    verdicts: SpmmVerdicts = field(default_factory=SpmmVerdicts)
 
     def __post_init__(self) -> None:
         if self.decision.matrix is None:
@@ -68,17 +142,21 @@ class CachedPlan:
         """Run the plan's kernel on one operand vector."""
         return self.kernel(self.decision.matrix, x)
 
+    @property
+    def native_spmm(self) -> bool:
+        """True when the converted format has a multi-RHS kernel.  The
+        engine stacks groups only for such plans: anywhere else SpMM is
+        the serving kernel run column by column, which cannot win."""
+        return spmm_kernel_for(self.decision.matrix.format_name) is not None
+
     def spmm(self, X):
         """Run the plan on a column-stacked RHS block ``(n_cols, k)``.
 
         Formats with a native multi-RHS kernel make one pass over the
-        converted operand; everything else (HYB/BCSR/...) degrades
-        transparently to column-by-column calls of the plan's own tuned
-        kernel — same results, no amortisation.  The fallback reuses the
-        compiled codegen kernel when the plan carries one.
+        converted operand; everything else (HYB/BCSR/...) degrades to
+        column-by-column calls of the plan's own serving kernel — same
+        results, no amortisation.
         """
-        from repro.kernels.spmm import spmm_fallback, spmm_kernel_for
-
         matrix = self.decision.matrix
         kernel = spmm_kernel_for(matrix.format_name)
         if kernel is not None:

@@ -32,8 +32,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import TransientError
 from repro.formats.csr import CSRMatrix
 from repro.types import FormatName
@@ -211,7 +209,9 @@ class DegradedPlan:
     conversion and no tuning stand between a build failure and a correct
     answer — ``execute`` is exactly ``matrix.spmv(x, reference=True)``,
     the oracle the whole kernel library is validated against.  Results
-    are bitwise equal to a direct ``reference=True`` call.
+    are bitwise equal to a direct ``reference=True`` call.  The engine
+    never stacks a degraded plan's group into an SpMM: each member runs
+    :meth:`execute`.
     """
 
     KERNEL_NAME = "csr-reference-degraded"
@@ -230,18 +230,3 @@ class DegradedPlan:
 
     def execute(self, x):
         return self.matrix.spmv(x, reference=True)
-
-    def spmm(self, X):
-        """Column-by-column reference SpMM — correctness over speed.
-
-        Degraded service never takes the batched fast path: each RHS
-        column runs the same reference kernel as :meth:`execute`, so
-        batched and unbatched degraded results are bitwise identical.
-        """
-        X = self.matrix.check_operand_block(X)
-        Y = np.empty(
-            (self.matrix.n_rows, X.shape[1]), dtype=self.matrix.dtype
-        )
-        for j in range(X.shape[1]):
-            Y[:, j] = self.matrix.spmv(X[:, j], reference=True)
-        return Y

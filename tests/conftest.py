@@ -53,3 +53,21 @@ def random_csr(
         0.0,
     ).astype(dtype)
     return CSRMatrix.from_dense(dense)
+
+
+@pytest.fixture
+def spmm_verdict(monkeypatch):
+    """Force the engine's SpMM verdict for every plan and width.
+
+    ``spmm_verdict(True)`` stacks every group of a plan that has a native
+    SpMM kernel; ``spmm_verdict(False)`` serves every group request by
+    request.  Nothing is measured while a verdict is forced.
+    """
+    from repro.serve.plancache import SpmmVerdicts
+
+    def force(stack: bool) -> None:
+        monkeypatch.setattr(
+            SpmmVerdicts, "choose", lambda self, k: (stack, False)
+        )
+
+    return force

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.io import FeatureDatabase, write_matrix_market
+from repro.serve.engine import _SubmissionQueue
 
 
 @pytest.fixture(scope="module")
@@ -225,18 +226,36 @@ class TestServeBenchModes:
     CHURN = ("--structure-churn", "3", "--requests", "6",
              "--churn-nodes", "60")
 
-    def test_fan_in_executes_spmm_batches(self, capsys) -> None:
+    def test_fan_in_executes_spmm_batches(self, capsys, spmm_verdict) -> None:
+        spmm_verdict(True)
         code, out, err = _serve_bench(capsys, *self.FAN_IN)
         assert code == 0, err
         batches = re.search(r"batching\s*: (\d+) SpMM batches", out)
         assert int(batches.group(1)) >= 1
 
-    def test_fan_in_without_a_batch_fails(self, capsys) -> None:
-        code, _, err = _serve_bench(
+    def test_fan_in_without_a_batch_fails(self, capsys, monkeypatch) -> None:
+        # A queue that never coalesces: every request dequeues alone, so
+        # no same-fingerprint group forms even though bursts arrive.
+        take = _SubmissionQueue.take_batch
+        monkeypatch.setattr(
+            _SubmissionQueue,
+            "take_batch",
+            lambda self, max_batch, window: take(self, 1, window),
+        )
+        code, out, err = _serve_bench(capsys, *self.FAN_IN)
+        assert code == 1
+        assert "no same-fingerprint group formed" in err
+        assert "16/16 products match" in out
+
+    def test_fan_in_spmm_faults_still_pass(self, capsys, spmm_verdict) -> None:
+        # Every stacked pass fails and falls back to per-request SpMV:
+        # the groups formed and every product is right, so the run passes.
+        spmm_verdict(True)
+        code, out, err = _serve_bench(
             capsys, *self.FAN_IN, "--faults", "spmm,kind=fatal"
         )
-        assert code == 1
-        assert "no SpMM batch" in err
+        assert code == 0, err
+        assert re.search(r"batching\s*: 0 SpMM batches", out)
 
     def test_refused_burst_fails_every_request(self, capsys) -> None:
         # A 300-wide burst exceeds the 256-slot queue and is refused at

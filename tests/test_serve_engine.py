@@ -278,13 +278,41 @@ class TestErrorIsolation:
 
 
 class TestCounterConservation:
+    def test_cache_hits_count_requests_not_dequeues(self, smat, rng) -> None:
+        """One hit per request served from a cached plan, however the
+        one worker happens to group the queue: a fixed schedule gives
+        the same count on every run."""
+        pool = [
+            random_csr(rng, n_rows=40 + 5 * i, n_cols=40 + 5 * i)
+            for i in range(3)
+        ]
+        schedule = [(i % 3, 1 + i % 4) for i in range(24)]
+        requests = sum(width for _, width in schedule)
+        counts = []
+        for _ in range(3):
+            with ServingEngine(smat, ServeConfig(workers=1)) as engine:
+                futures = []
+                for target, width in schedule:
+                    matrix = pool[target]
+                    futures.extend(
+                        engine.submit_batch(
+                            matrix, [np.ones(matrix.n_cols)] * width
+                        )
+                    )
+                for future in futures:
+                    future.result()
+                counts.append(engine.metrics.counter("cache_hits").value)
+        # Every request but the one that built each plan is a hit.
+        assert counts == [requests - len(pool)] * 3
+
     def test_plan_resolution_counters_add_up(self, smat, rng) -> None:
-        """Every dequeued batch resolves its plan exactly once, as a
-        tier-1 hit, a tier-2 refresh or a miss; every successful build is
-        a miss that did not fail or a retuning delta; every submitted
-        request is served or failed.  No deadlines, and the breaker
-        threshold sits above the one injected fault, so no batch expires
-        or degrades before resolution."""
+        """Every served request is a cache hit (its batch's plan was
+        cached, or it rode behind its batch's head) or the head of a
+        tier-2 refresh or a miss; every successful build is a miss that
+        did not fail or a retuning delta; every submitted request is
+        served or failed.  No deadlines, and the breaker threshold sits
+        above the one injected fault, so no batch expires or degrades
+        before resolution."""
         faults = FaultPlan(
             [FaultRule(site="decide", kind="fatal", start=1, stop=2)]
         )
@@ -342,8 +370,7 @@ class TestCounterConservation:
         assert counters["plans_refreshed"] == 1
         assert counters["delta_retunes"] == 1
         assert counters["cache_hits"] >= 1
-        batches = snapshot["histograms"]["batch_size"]["count"]
-        assert batches == (
+        assert counters["requests_served"] == (
             counters["cache_hits"]
             + counters["plans_refreshed"]
             + counters["cache_misses"]

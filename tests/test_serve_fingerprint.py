@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
+from repro.collection import banded
 from repro.formats import CSRMatrix
 from repro.serve import fingerprint, structural_digest
 
@@ -73,3 +76,50 @@ class TestStructuralDigest:
         moved[3, 0] = 1.0
         b = CSRMatrix.from_dense(moved)
         assert structural_digest(a) != structural_digest(b)
+
+
+def strided(a: np.ndarray) -> np.ndarray:
+    """A non-contiguous view holding ``a``'s values."""
+    buf = np.zeros(2 * a.size, dtype=a.dtype)
+    buf[::2] = a
+    return buf[::2]
+
+
+class TestHashing:
+    def test_digests_are_32_hex_characters(self, rng) -> None:
+        key = fingerprint(random_csr(rng))
+        for digest in (key.digest, key.structural):
+            assert len(digest) == 32
+            int(digest, 16)
+
+    def test_one_pass_structural_digest(self, rng) -> None:
+        for i in range(5):
+            matrix = random_csr(rng, n_rows=20 + i)
+            assert fingerprint(matrix).structural == structural_digest(matrix)
+
+    def test_non_contiguous_input_hashes_like_its_copy(self, rng) -> None:
+        matrix = random_csr(rng)
+        view = CSRMatrix(
+            strided(matrix.ptr),
+            strided(matrix.indices),
+            strided(matrix.data),
+            matrix.shape,
+        )
+        assert not view.data.flags.c_contiguous
+        assert not view.indices.flags.c_contiguous
+        assert fingerprint(view) == fingerprint(matrix)
+        assert structural_digest(view) == structural_digest(matrix)
+
+    def test_hashes_without_copying_the_arrays(self) -> None:
+        matrix = banded.banded_matrix(50_000, 5, seed=0)
+        fingerprint(matrix)  # warm any one-time costs
+        structural_digest(matrix)
+        tracemalloc.start()
+        try:
+            fingerprint(matrix)
+            structural_digest(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A copy of any one array would cost matrix.data.nbytes (2 MB).
+        assert peak < matrix.data.nbytes // 20

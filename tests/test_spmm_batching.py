@@ -135,7 +135,10 @@ class TestEngineBatching:
         xs = [dyadic_operand(rng, 90) for _ in range(k)]
         return matrix, xs
 
-    def test_submit_batch_executes_one_spmm(self, smat, rng) -> None:
+    def test_submit_batch_executes_one_spmm(
+        self, smat, rng, spmm_verdict
+    ) -> None:
+        spmm_verdict(True)
         matrix, xs = self._dyadic_case(rng)
         config = ServeConfig(workers=1, max_batch_rhs=8)
         with ServingEngine(smat, config) as engine:
@@ -167,7 +170,10 @@ class TestEngineBatching:
             counters = engine.metrics.snapshot()["counters"]
         assert counters["spmm_batches_total"] == 0
 
-    def test_batch_window_coalesces_separate_submits(self, smat, rng) -> None:
+    def test_batch_window_coalesces_separate_submits(
+        self, smat, rng, spmm_verdict
+    ) -> None:
+        spmm_verdict(True)
         matrix, xs = self._dyadic_case(rng, k=4)
         config = ServeConfig(
             workers=1, batch_window=0.25, max_batch_rhs=4
@@ -196,7 +202,7 @@ class TestEngineBatching:
         assert np.array_equal(ok_b.y, matrix.spmv(xs[2], reference=True))
 
     def test_member_expiring_during_spmm_stall_gets_deadline_error(
-        self, smat, rng, monkeypatch
+        self, smat, rng, monkeypatch, spmm_verdict
     ) -> None:
         """Regression: a member whose deadline expires between the batch
         take and the stack build must resolve DeadlineExceededError, not
@@ -208,6 +214,7 @@ class TestEngineBatching:
 
         from repro.serve.faults import FaultPlan, FaultRule
 
+        spmm_verdict(True)
         real_monotonic = _time.monotonic
         offset = [0.0]
         monkeypatch.setattr(
