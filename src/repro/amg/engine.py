@@ -13,39 +13,39 @@ wall-clock timing of the real NumPy kernels works too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
 
 from repro.features.extract import extract_features
 from repro.formats.csr import CSRMatrix
-from repro.kernels.base import Kernel, find_kernel
+from repro.kernels.base import find_kernel
 from repro.kernels.strategies import Strategy, strategy_set
 from repro.machine.costmodel import estimate_spmv_time
 from repro.machine.measure import SimulatedBackend
+from repro.tuner.plan import Plan
 from repro.types import FormatName
 
 
-@dataclass
-class PreparedOperator:
-    """A matrix bound to a kernel, with apply-time accounting."""
+class PreparedOperator(Plan):
+    """A plan with apply-time accounting."""
 
-    matrix: object
-    kernel: Kernel
-    #: Simulated seconds for one apply (0.0 when no simulated backend).
-    seconds_per_apply: float
-    #: One-time tuning + conversion cost in CSR-SpMV units.
-    setup_units: float = 0.0
-    applies: int = 0
+    __slots__ = ("seconds_per_apply", "applies")
+
+    def __init__(self, matrix, kernel, decision=None) -> None:
+        super().__init__(matrix, kernel, decision)
+        #: Simulated seconds for one apply (0.0 when no simulated backend).
+        self.seconds_per_apply = 0.0
+        self.applies = 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.applies += 1
         return self.kernel(self.matrix, x)
 
     @property
-    def format_name(self) -> FormatName:
-        return self.kernel.format_name
+    def setup_units(self) -> float:
+        """One-time tuning + conversion cost in CSR-SpMV units."""
+        return self.decision.overhead_units if self.decision else 0.0
 
     @property
     def simulated_seconds(self) -> float:
@@ -70,18 +70,16 @@ class CsrEngine:
         )
 
     def prepare(self, matrix: CSRMatrix) -> PreparedOperator:
-        seconds = 0.0
+        operator = PreparedOperator(matrix, self._kernel)
         if self.backend is not None:
-            seconds = estimate_spmv_time(
+            operator.seconds_per_apply = estimate_spmv_time(
                 self.backend.arch,
                 FormatName.CSR,
                 extract_features(matrix),
                 self.backend.precision,
                 self._kernel.strategies,
             )
-        return PreparedOperator(
-            matrix=matrix, kernel=self._kernel, seconds_per_apply=seconds
-        )
+        return operator
 
 
 class SmatEngine:
@@ -92,21 +90,16 @@ class SmatEngine:
 
     def prepare(self, matrix: CSRMatrix) -> PreparedOperator:
         decision = self.smat.decide(matrix)
-        seconds = 0.0
+        operator = PreparedOperator.of(decision)
         if isinstance(self.smat.backend, SimulatedBackend):
             # Priced from the registry kernel even when a compiled one
             # serves: the simulated machine prices strategy sets, and a
             # generated kernel's set carries no thread scaling.
-            seconds = estimate_spmv_time(
+            operator.seconds_per_apply = estimate_spmv_time(
                 self.smat.backend.arch,
                 decision.format_name,
                 extract_features(matrix),
                 self.smat.backend.precision,
                 decision.kernel.strategies,
             )
-        return PreparedOperator(
-            matrix=decision.matrix,
-            kernel=decision.serving_kernel,
-            seconds_per_apply=seconds,
-            setup_units=decision.overhead_units,
-        )
+        return operator

@@ -45,12 +45,11 @@ from repro.serve.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.serve.plancache import CachedPlan, PlanCache
+from repro.serve.plancache import PlanCache
 from repro.serve.resilience import (
     BreakerState,
     CircuitBreaker,
     Deadline,
-    DegradedPlan,
     RetryPolicy,
 )
 from repro.serve.workload import (
@@ -68,11 +67,9 @@ from repro.serve.workload import (
 
 __all__ = [
     "BreakerState",
-    "CachedPlan",
     "CircuitBreaker",
     "Counter",
     "Deadline",
-    "DegradedPlan",
     "DeltaOutcome",
     "FaultPlan",
     "FaultRule",

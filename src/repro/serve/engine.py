@@ -42,9 +42,12 @@ caller can cancel its future at any instant, and an unguarded
 ``InvalidStateError`` inside the worker thread, silently shrinking
 serving capacity.  The helpers swallow exactly that race, nothing else.
 
-The tuner can be a plain :class:`~repro.tuner.SMAT` or an
-:class:`~repro.tuner.OnlineSmat`; with the latter, fallback measurements
-recorded while serving retrain the model safely under its internal lock.
+The tuner is anything satisfying :class:`~repro.tuner.plan.Tuner`:
+a plain :class:`~repro.tuner.SMAT` or an :class:`~repro.tuner.OnlineSmat`,
+with which fallback measurements recorded while serving retrain the model
+safely under its internal lock.  Every plan the engine serves — cached,
+refreshed, delta-migrated or degraded — is one
+:class:`~repro.tuner.plan.Plan`.
 
 Every stage is metered (see :mod:`repro.serve.metrics`); the failure-path
 instruments are pre-registered so they are observable at zero.
@@ -66,7 +69,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -80,21 +82,20 @@ from repro.errors import (
 from repro.features.incremental import DeltaFeatures
 from repro.formats.csr import CSRMatrix
 from repro.formats.delta import StructureDelta, apply_delta, patch_operand
-from repro.kernels.backends import get_backend
 from repro.serve.faults import FaultPlan
 from repro.serve.fingerprint import Fingerprint
 from repro.serve.fingerprint import fingerprint as _fingerprint
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.plancache import CachedPlan, PlanCache
+from repro.serve.plancache import PlanCache
 from repro.serve.resilience import (
     BreakerState,
     BuildTicket,
     CircuitBreaker,
     Deadline,
-    DegradedPlan,
     RetryPolicy,
 )
-from repro.tuner.runtime import Decision, _model_walk, cascade_select
+from repro.tuner.plan import Plan, Tuner
+from repro.tuner.runtime import Decision, cascade_select, specialize_kernel
 from repro.types import FormatName
 
 #: Counters pre-registered on every engine so the scoreboard always shows
@@ -177,6 +178,14 @@ _DELTA_COUNTERS = (
     "delta_retunes",
 )
 
+#: Structure-delta migration policy: a delta whose structural edit count
+#: (entries appearing or vanishing) stays within this fraction of the
+#: pre-delta nnz may keep the old plan — patched or rebuilt in the old
+#: format — provided a cascade-bounded re-decision confirms that format
+#: still wins on the mutated structure.  Larger deltas (or a flipped
+#: re-decision) always re-tune from scratch.
+DELTA_PATCH_MAX_RATIO = 0.25
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -204,10 +213,6 @@ class ServeConfig:
     max_batch_rhs: int = 1
     #: Plan-cache entry cap.
     cache_entries: int = 128
-    #: Plan-cache byte budget over converted matrices (None = unlimited).
-    cache_bytes: Optional[int] = None
-    #: Default seconds ``submit`` waits for queue space (None = forever).
-    submit_timeout: Optional[float] = None
     #: Default end-to-end deadline per request (None = none); covers
     #: queue wait + plan resolution + execution.
     default_deadline: Optional[float] = None
@@ -231,13 +236,6 @@ class ServeConfig:
     #: specialized kernel into the plan when it beats the registry kernel;
     #: any compile failure silently keeps the generic kernel.
     kernel_backend: str = "generic"
-    #: Structure-delta migration policy: a delta whose structural edit
-    #: count (entries appearing or vanishing) stays within this fraction
-    #: of the pre-delta nnz may keep the old plan — patched or rebuilt in
-    #: the old format — provided a cascade-bounded re-decision confirms
-    #: that format still wins on the mutated structure.  Larger deltas
-    #: (or a flipped re-decision) always re-tune from scratch.
-    delta_patch_max_ratio: float = 0.25
 
     def __post_init__(self) -> None:
         from repro.kernels.backends import backend_names
@@ -267,15 +265,6 @@ class ServeConfig:
             raise ValueError(
                 f"cache_entries must be >= 1, got {self.cache_entries}"
             )
-        if self.cache_bytes is not None and self.cache_bytes < 1:
-            raise ValueError(
-                f"cache_bytes must be >= 1 or None, got {self.cache_bytes}"
-            )
-        if self.submit_timeout is not None and self.submit_timeout < 0.0:
-            raise ValueError(
-                f"submit_timeout must be >= 0 or None, "
-                f"got {self.submit_timeout}"
-            )
         if self.default_deadline is not None and self.default_deadline <= 0.0:
             raise ValueError(
                 f"default_deadline must be > 0 or None, "
@@ -303,11 +292,6 @@ class ServeConfig:
             raise ValueError(
                 f"breaker_probe_interval must be >= 1, "
                 f"got {self.breaker_probe_interval}"
-            )
-        if self.delta_patch_max_ratio < 0.0:
-            raise ValueError(
-                f"delta_patch_max_ratio must be >= 0, "
-                f"got {self.delta_patch_max_ratio}"
             )
 
 
@@ -446,8 +430,9 @@ class _BuildLock:
 
     The refcount is the fix for the pop-while-held race: the old code
     popped the lock from the registry as soon as *one* holder released,
-    so a late arriver minted a fresh lock and uncacheable plans built
-    concurrently N times.  Now the entry leaves the registry only when
+    so a late arriver minted a fresh lock, and a build that left no plan
+    in the cache (a failed one) ran again concurrently with the next
+    waiter's.  Now the entry leaves the registry only when
     the last referent releases, so every concurrent resolver for one
     fingerprint serializes on the same lock object.
     """
@@ -463,30 +448,11 @@ class _BuildLock:
 class _Resolution:
     """Outcome of one plan resolution, tuned or degraded."""
 
-    plan: Union[CachedPlan, DegradedPlan]
+    plan: Plan
     cache_hit: bool
     seconds: float
-    degraded: bool
     #: Plan came from a tier-2 structure hit (values refreshed, no tune).
     refreshed: bool = False
-
-    @property
-    def format_name(self) -> FormatName:
-        if self.degraded:
-            return DegradedPlan.format_name
-        return self.plan.decision.format_name
-
-    @property
-    def kernel_name(self) -> str:
-        if self.degraded:
-            return DegradedPlan.KERNEL_NAME
-        return self.plan.decision.serving_kernel.name
-
-    @property
-    def used_fallback(self) -> bool:
-        if self.degraded:
-            return False
-        return self.plan.decision.used_fallback
 
 
 class _SubmissionQueue:
@@ -647,7 +613,7 @@ class ServingEngine:
 
     def __init__(
         self,
-        tuner,
+        tuner: Tuner,
         config: ServeConfig = ServeConfig(),
         metrics: Optional[MetricsRegistry] = None,
         faults: Optional[FaultPlan] = None,
@@ -671,25 +637,10 @@ class ServingEngine:
             counters=_DELTA_COUNTERS,
             histograms=("delta_apply_seconds",),
         )
-        self.cache = PlanCache(
-            max_entries=config.cache_entries, max_bytes=config.cache_bytes
-        )
-        # Deadline threading: an SMAT/OnlineSmat decide() accepts the
-        # request deadline (budgeted cascade); arbitrary tuners may not.
-        # Probe the signature once instead of try/excepting every build.
-        import inspect
-
-        try:
-            self._tuner_takes_deadline = (
-                "deadline" in inspect.signature(tuner.decide).parameters
-            )
-        except (TypeError, ValueError):
-            self._tuner_takes_deadline = False
+        self.cache = PlanCache(max_entries=config.cache_entries)
         # The last tuner model epoch observed (for counting live ruleset
         # hot-swaps).
-        self._last_model_epoch: Optional[int] = getattr(
-            tuner, "model_epoch", None
-        )
+        self._last_model_epoch: int = tuner.model_epoch
         self._epoch_guard = threading.Lock()
         self.faults = faults
         self._sleep = faults.sleep if faults is not None else time.sleep
@@ -777,13 +728,13 @@ class ServingEngine:
     ) -> "Future[ServeResult]":
         """Enqueue one SpMV; returns a future resolving to a ServeResult.
 
-        ``timeout`` bounds the wait for queue space (defaults to the
-        config's ``submit_timeout``); exhausting it raises
-        :class:`BackpressureError`.  ``deadline`` (defaults to the
-        config's ``default_deadline``) bounds the request end to end —
-        queue wait, plan resolution and execution; an expired request
-        fails with :class:`DeadlineExceededError` without burning worker
-        time on plan work.
+        ``timeout`` bounds the wait for queue space (None waits as long
+        as it takes); exhausting it raises :class:`BackpressureError`.
+        ``deadline`` (defaults to the config's ``default_deadline``)
+        bounds the request end to end — queue wait, plan resolution and
+        execution; an expired request fails with
+        :class:`DeadlineExceededError` without burning worker time on
+        plan work.
         """
         if not self.running:
             raise ServeError("engine is not running (call start())")
@@ -824,11 +775,8 @@ class ServingEngine:
             request.trace_queue = tracer.begin(
                 "serve.queue", parent=request.trace_root
             )
-        effective = (
-            timeout if timeout is not None else self.config.submit_timeout
-        )
         try:
-            self._queue.put(request, effective)
+            self._queue.put(request, timeout)
         except BaseException as exc:
             if isinstance(exc, BackpressureError):
                 self.metrics.counter("requests_rejected").inc()
@@ -902,11 +850,8 @@ class ServingEngine:
                     "serve.queue", parent=request.trace_root
                 )
             requests.append(request)
-        effective = (
-            timeout if timeout is not None else self.config.submit_timeout
-        )
         try:
-            self._queue.put_many(requests, effective)
+            self._queue.put_many(requests, timeout)
         except BaseException as exc:
             if isinstance(exc, BackpressureError):
                 self.metrics.counter("requests_rejected").inc(len(requests))
@@ -986,7 +931,7 @@ class ServingEngine:
         stale plan.  The resident plan then migrates by policy:
 
         * **patch** — the delta is small (``structural edits / nnz ≤
-          config.delta_patch_max_ratio``) and a cascade-bounded
+          DELTA_PATCH_MAX_RATIO``) and a cascade-bounded
           re-decision (the maintained-feature walk when ``features`` is
           supplied, the cheap interval walk otherwise) proves the old
           format still wins → the converted operand is edited in place
@@ -1008,28 +953,23 @@ class ServingEngine:
             if features is not None:
                 features.apply(effect)
             new_key = _fingerprint(new_csr)
-            old_plan = self.cache.get(old_key, record_stats=False)
+            old_plan = self.cache.get(old_key)
             if self.cache.invalidate(old_key):
                 self.metrics.counter("plans_invalidated").inc()
             self.metrics.counter("deltas_applied").inc()
             ratio = effect.structural_size / max(matrix.nnz, 1)
-            old_format = (
-                old_plan.decision.format_name if old_plan is not None else None
-            )
+            old_format = old_plan.format_name if old_plan is not None else None
             plan = None
             policy = "retune"
             stage: Optional[str] = None
-            if (
-                old_plan is not None
-                and ratio <= self.config.delta_patch_max_ratio
-            ):
+            if old_plan is not None and ratio <= DELTA_PATCH_MAX_RATIO:
                 redecision = self._delta_redecision(new_csr, features)
                 if redecision is not None:
                     fmt, stage = redecision
-                    if fmt is old_plan.decision.format_name:
+                    if fmt is old_plan.format_name:
                         try:
                             result = patch_operand(
-                                old_plan.decision.matrix, new_csr, effect
+                                old_plan.matrix, new_csr, effect
                             )
                         except Exception:
                             result = None  # patch failed → full retune
@@ -1043,21 +983,17 @@ class ServingEngine:
                             # (DIA offsets, ELL width, row buckets), so it
                             # is dropped and the migrated operand is
                             # re-specialized like a cold build.
-                            decision = replace(
-                                old_plan.decision,
-                                matrix=result.matrix,
-                                compiled_kernel=None,
-                                codegen_units=0.0,
-                            )
-                            self._specialize_kernel(decision)
-                            plan = CachedPlan(
-                                key=new_key,
-                                decision=decision,
-                                matrix_bytes=result.matrix.memory_bytes(),
+                            plan = self._bind(
+                                replace(
+                                    old_plan.decision,
+                                    matrix=result.matrix,
+                                    compiled_kernel=None,
+                                    codegen_units=0.0,
+                                )
                             )
             if plan is None:
                 policy = "retune"
-                plan = self._build_plan(new_key, new_csr)
+                plan = self._build_plan(new_csr)
             self.metrics.counter(
                 {
                     "patch": "delta_patches",
@@ -1065,10 +1001,8 @@ class ServingEngine:
                     "retune": "delta_retunes",
                 }[policy]
             ).inc()
-            if self.cache.put(plan):
-                self.metrics.counter("plans_cached").inc()
-            else:
-                self.metrics.counter("plans_uncacheable").inc()
+            self.cache.put(new_key, plan)
+            self.metrics.counter("plans_cached").inc()
             seconds = time.perf_counter() - started
             self.metrics.histogram("delta_apply_seconds").observe(seconds)
             self._update_gauges()
@@ -1078,7 +1012,7 @@ class ServingEngine:
                 old_fingerprint=old_key,
                 policy=policy,
                 old_format=old_format,
-                new_format=plan.decision.format_name,
+                new_format=plan.format_name,
                 delta_ratio=float(ratio),
                 redecision_stage=stage,
                 seconds=seconds,
@@ -1090,28 +1024,19 @@ class ServingEngine:
         """Cheapest available proof of the post-delta format choice.
 
         With maintained features the rule walk runs on a fully-seeded
-        :class:`LazyFeatures` — zero extraction units.  Without them the
-        PR-8 cascade walks cheap interval bounds, escalating only when
-        unresolved.  A tuner exposing no rule model cannot prove
-        anything → None, which the caller treats as "retune".
+        :class:`LazyFeatures` — zero extraction units, stage ``"delta"``.
+        Without them the cascade walks cheap interval bounds, escalating
+        only when unresolved.  A tuner whose model cannot walk (none, or
+        a failing one) proves nothing → None, which the caller treats as
+        "retune".
         """
-        model = getattr(self.tuner, "model", None)
-        if model is None:
-            return None
         try:
-            if features is not None:
-                fmt, _confidence, _rule = _model_walk(
-                    model, features.seed_lazy(new_csr)
-                )
-                return fmt, "delta"
-            config = getattr(self.tuner, "config", None)
-            if config is not None:
-                selection = cascade_select(new_csr, model, config)
-            else:
-                selection = cascade_select(new_csr, model)
-            return selection.format_name, selection.stage
+            selection = cascade_select(
+                new_csr, self.tuner.model, self.tuner.config, features=features
+            )
         except Exception:
             return None
+        return selection.format_name, selection.stage
 
     # ------------------------------------------------------------------
     # Worker side
@@ -1177,9 +1102,9 @@ class ServingEngine:
                 if plan_span is not None:
                     plan_span.attrs.update(
                         cache_hit=resolution.cache_hit,
-                        degraded=resolution.degraded,
+                        degraded=resolution.plan.degraded,
                         refreshed=resolution.refreshed,
-                        format=resolution.format_name.value,
+                        format=resolution.plan.format_name.value,
                     )
         except Exception as exc:  # degraded path failed too: fail the batch
             self.metrics.counter("requests_failed").inc(len(live))
@@ -1257,9 +1182,9 @@ class ServingEngine:
 
         Members past their deadline are excluded first (and failed
         per-request).  The survivors are stacked into one SpMM only when
-        the plan has a native SpMM kernel and its verdict for this width
-        says SpMM beats k calls of the serving kernel; degraded plans
-        never stack.  While the width's verdict is still open, the group
+        the plan has a native SpMM kernel (degraded plans have none) and
+        its verdict for this width says SpMM beats k calls of the serving
+        kernel.  While the width's verdict is still open, the group
         runs whichever path is due and its per-RHS wall time — from the
         first kernel call to the last future resolved — becomes one
         sample of that path.
@@ -1270,7 +1195,7 @@ class ServingEngine:
             if not self._fail_if_expired(request)
         ]
         plan = resolution.plan
-        if len(live) < 2 or resolution.degraded or not plan.native_spmm:
+        if len(live) < 2 or not plan.native_spmm:
             if len(live) >= 2:
                 self.metrics.counter("spmm_groups_unstacked").inc()
             self._serve_each(resolution, live, dequeued_at)
@@ -1331,7 +1256,7 @@ class ServingEngine:
             tracer.span(
                 "serve.execute",
                 parent=head.trace_root,
-                kernel=resolution.kernel_name,
+                kernel=resolution.plan.kernel_name,
                 batch_size=k,
             )
             if tracer is not None and head.trace_root is not None
@@ -1395,17 +1320,20 @@ class ServingEngine:
         retries: int,
         batch_size: int,
     ) -> None:
+        plan = resolution.plan
         result = ServeResult(
             y=y,
             fingerprint=request.key,
-            format_name=resolution.format_name,
-            kernel_name=resolution.kernel_name,
+            format_name=plan.format_name,
+            kernel_name=plan.kernel_name,
             cache_hit=resolution.cache_hit or index > 0,
-            used_fallback=resolution.used_fallback,
+            used_fallback=(
+                plan.decision is not None and plan.decision.used_fallback
+            ),
             queued_seconds=queued,
             plan_seconds=resolution.seconds if index == 0 else 0.0,
             execute_seconds=execute_seconds,
-            degraded=resolution.degraded,
+            degraded=plan.degraded,
             retries=retries,
             refreshed=resolution.refreshed and index == 0,
             batch_size=batch_size,
@@ -1432,7 +1360,7 @@ class ServingEngine:
             tracer.span(
                 "serve.execute",
                 parent=request.trace_root,
-                kernel=resolution.kernel_name,
+                kernel=resolution.plan.kernel_name,
             )
             if tracer is not None and request.trace_root is not None
             else obs.NULL_SPAN
@@ -1447,7 +1375,7 @@ class ServingEngine:
                     with obs.span("serve.attempt", attempt=attempt):
                         if self.faults is not None:
                             self.faults.on_call("execute")
-                        y = resolution.plan.execute(request.x)
+                        y = resolution.plan(request.x)
                     if execute_span is not None and attempt:
                         execute_span.attrs["retries"] = attempt
                     outcome = y, time.perf_counter() - started, attempt
@@ -1529,9 +1457,7 @@ class ServingEngine:
         started = time.perf_counter()
         plan = self.cache.get(key)
         if plan is not None:
-            return _Resolution(
-                plan, True, time.perf_counter() - started, False
-            )
+            return _Resolution(plan, True, time.perf_counter() - started)
 
         breaker = self._breaker_for(key)
         ticket = breaker.acquire()
@@ -1540,10 +1466,9 @@ class ServingEngine:
             # CSR plan (correct for any input, zero build cost).
             with obs.span("serve.degrade", reason="breaker_open"):
                 return _Resolution(
-                    DegradedPlan(matrix),
+                    Plan.reference(matrix),
                     False,
                     time.perf_counter() - started,
-                    True,
                 )
         if ticket is BuildTicket.PROBE:
             self.metrics.counter("breaker_probes").inc()
@@ -1557,12 +1482,12 @@ class ServingEngine:
             with build_lock:
                 # Double-check: another worker may have built it while we
                 # waited on the single-flight lock.
-                plan = self.cache.get(key, record_stats=False)
+                plan = self.cache.get(key)
                 if plan is not None:
                     if breaker.record_success():
                         self.metrics.counter("breaker_recovered").inc()
                     return _Resolution(
-                        plan, True, time.perf_counter() - started, False
+                        plan, True, time.perf_counter() - started
                     )
                 if structure is not None:
                     donor = self.cache.get_by_structure(structure)
@@ -1577,7 +1502,6 @@ class ServingEngine:
                                 plan,
                                 False,
                                 time.perf_counter() - started,
-                                False,
                                 refreshed=True,
                             )
                 self.metrics.counter("cache_misses").inc()
@@ -1586,7 +1510,7 @@ class ServingEngine:
                     with obs.span(
                         "serve.build", probe=ticket is BuildTicket.PROBE
                     ):
-                        plan = self._build_plan(key, matrix, deadline)
+                        plan = self._build_plan(matrix, deadline)
                 except Exception:
                     # Graceful degradation: the build failure is recorded
                     # against the breaker, but this batch is still served
@@ -1596,10 +1520,9 @@ class ServingEngine:
                         self.metrics.counter("breaker_opened").inc()
                     with obs.span("serve.degrade", reason="build_failed"):
                         return _Resolution(
-                            DegradedPlan(matrix),
+                            Plan.reference(matrix),
                             False,
                             time.perf_counter() - started,
-                            True,
                         )
                 if breaker.record_success():
                     self.metrics.counter("breaker_recovered").inc()
@@ -1610,18 +1533,16 @@ class ServingEngine:
                 self.metrics.histogram("plan_build_seconds").observe(
                     time.perf_counter() - build_started
                 )
-                if self.cache.put(plan):
-                    self.metrics.counter("plans_cached").inc()
-                else:
-                    self.metrics.counter("plans_uncacheable").inc()
+                self.cache.put(key, plan)
+                self.metrics.counter("plans_cached").inc()
         finally:
             self._release_build_lock(lock_key)
         self._update_gauges()
-        return _Resolution(plan, False, time.perf_counter() - started, False)
+        return _Resolution(plan, False, time.perf_counter() - started)
 
     def _refresh_plan(
-        self, key: Fingerprint, matrix: CSRMatrix, donor: CachedPlan
-    ) -> Optional[CachedPlan]:
+        self, key: Fingerprint, matrix: CSRMatrix, donor: Plan
+    ) -> Optional[Plan]:
         """Tier-2 fast path: reuse the donor's decision, rebuild values.
 
         The donor is a resident plan whose structural digest matches
@@ -1639,89 +1560,68 @@ class ServingEngine:
                 "plan.refresh",
                 tier=2,
                 fingerprint=str(key),
-                format=donor.decision.format_name.value,
+                format=donor.format_name.value,
             ):
                 if self.faults is not None:
                     self.faults.on_call("refresh")
-                refreshed = donor.decision.matrix.refresh_values(matrix)
+                plan = donor.refreshed(donor.matrix.refresh_values(matrix))
         except Exception:
             self.metrics.counter("plan_refresh_failures").inc()
             return None
-        plan = CachedPlan(
-            key=key,
-            decision=replace(donor.decision, matrix=refreshed),
-            matrix_bytes=refreshed.memory_bytes(),
-            verdicts=donor.verdicts,
-        )
         self.metrics.counter("structure_hits").inc()
         self.metrics.counter("plans_refreshed").inc()
         self.metrics.histogram("plan_refresh_seconds").observe(
             time.perf_counter() - refresh_started
         )
-        if self.cache.put(plan):
-            self.metrics.counter("plans_cached").inc()
-        else:
-            self.metrics.counter("plans_uncacheable").inc()
+        self.cache.put(key, plan)
+        self.metrics.counter("plans_cached").inc()
         self._update_gauges()
         return plan
 
     def _build_plan(
-        self,
-        key: Fingerprint,
-        matrix: CSRMatrix,
-        deadline: Optional[Deadline] = None,
-    ) -> CachedPlan:
+        self, matrix: CSRMatrix, deadline: Optional[Deadline] = None
+    ) -> Plan:
         if self.faults is not None:
             self.faults.on_call("decide")
         self._observe_model_epoch()
-        if self._tuner_takes_deadline:
-            decision: Decision = self.tuner.decide(matrix, deadline=deadline)
-        else:
-            decision = self.tuner.decide(matrix)
+        decision = self.tuner.decide(matrix, deadline=deadline)
         if decision.used_fallback:
             self.metrics.counter("fallback_decisions").inc()
         stage_counter = _CASCADE_STAGE_COUNTER.get(decision.cascade_stage)
         if stage_counter is not None:
             self.metrics.counter(stage_counter).inc()
-        self._specialize_kernel(decision)
+        plan = self._bind(decision)
         self.metrics.counter("plans_built").inc()
-        return CachedPlan(
-            key=key,
-            decision=decision,
-            matrix_bytes=decision.matrix.memory_bytes(),
-        )
+        return plan
 
-    def _specialize_kernel(self, decision: Decision) -> None:
-        """Apply ``config.kernel_backend`` to a built or migrated decision.
+    def _bind(self, decision: Decision) -> Plan:
+        """The plan for a built or delta-migrated decision, after the
+        engine's ``config.kernel_backend`` pass.
 
         The beat-or-keep audit runs at most once per build: a tuner that
         already ran its backend (``decision.codegen_units > 0``) keeps its
-        verdict, compiled or generic.  Otherwise — a generic tuner, or a
-        cascade budget that refused the specialization — the engine runs
-        the backend here so arbitrary tuners get codegen too.  Any
+        verdict, compiled or generic.  Otherwise — a generic tuner, a
+        cascade budget that refused the specialization, or a migrated
+        operand — the engine runs :func:`specialize_kernel` here.  Any
         failure — including an injected ``codegen.compile`` fault — keeps
         the generic kernel: the build still succeeds, nothing reaches the
         breaker.
         """
         if self.config.kernel_backend == "generic":
-            return
+            return Plan.of(decision)
         if decision.compiled_kernel is None and not decision.codegen_units:
             try:
                 if self.faults is not None:
                     self.faults.on_call("codegen.compile")
-                backend = get_backend(self.config.kernel_backend)
-                specialized = backend.specialize(
-                    decision.matrix, decision.kernel
-                )
+                specialize_kernel(decision, self.config.kernel_backend)
             except Exception:
                 self.metrics.counter("codegen_fallbacks").inc()
-                return
-            if specialized is not decision.kernel:
-                decision.compiled_kernel = specialized
+                return Plan.of(decision)
         if decision.compiled_kernel is not None:
             self.metrics.counter("codegen_kernels").inc()
         else:
             self.metrics.counter("codegen_kept_generic").inc()
+        return Plan.of(decision)
 
     # ------------------------------------------------------------------
     # Hot-swap observation + single-flight and breaker registries
@@ -1729,13 +1629,12 @@ class ServingEngine:
     def _observe_model_epoch(self) -> None:
         """Count tuner model hot-swaps (OnlineSmat retrains or installed
         models) that happened since the last cold decision."""
-        epoch = getattr(self.tuner, "model_epoch", None)
-        if epoch is None:
-            return
+        epoch = self.tuner.model_epoch
         with self._epoch_guard:
-            last = self._last_model_epoch
-            if last is not None and epoch > last:
-                self.metrics.counter("ruleset_swaps").inc(epoch - last)
+            if epoch > self._last_model_epoch:
+                self.metrics.counter("ruleset_swaps").inc(
+                    epoch - self._last_model_epoch
+                )
             self._last_model_epoch = epoch
 
     def _acquire_build_lock(self, key: Hashable) -> threading.Lock:
@@ -1787,16 +1686,20 @@ class ServingEngine:
         states = list(self.breaker_states().values())
         open_count = sum(1 for s in states if s is BreakerState.OPEN)
         half_open = sum(1 for s in states if s is BreakerState.HALF_OPEN)
+        # Per served request, so the line agrees with the counters below
+        # whatever the worker timing.
+        hits = self.metrics.counter("cache_hits").value
+        misses = self.metrics.counter("cache_misses").value
+        lookups = hits + misses
         lines = [
             "plan cache:",
             f"  entries {int(stats['entries'])} "
             f"({int(stats['bytes'])} bytes)",
-            f"  hit rate {stats['hit_rate']:.1%} "
-            f"({int(stats['hits'])} hits / {int(stats['misses'])} misses)",
+            f"  hit rate {hits / lookups if lookups else 0.0:.1%} "
+            f"({int(hits)} hits / {int(misses)} misses)",
             f"  structure hits {int(stats['structure_hits'])} "
             f"(tier 2, values refreshed in place)",
-            f"  evictions {int(stats['evictions'])}, "
-            f"rejected {int(stats['rejected'])}",
+            f"  evictions {int(stats['evictions'])}",
             "breakers:",
             f"  {len(states)} tracked, {open_count} open, "
             f"{half_open} half-open",

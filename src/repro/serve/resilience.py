@@ -18,11 +18,13 @@ that principle from "no confident rule" to "any runtime failure":
   while open becomes a half-open probe whose success restores tuned
   serving.  All transitions are request-count driven — no wall clock — so
   they replay deterministically under fault injection.
-* :class:`DegradedPlan` — the universal fallback the breaker degrades to:
-  the row-loop CSR reference kernel (``CSRMatrix.spmv(reference=True)``),
-  the same oracle every tuned kernel is validated against in
-  ``tests/test_formats_reference_equivalence.py``.  It is always correct
-  and needs no tuning, no conversion, and no cache entry.
+
+What the breaker degrades to is the reference plan
+(:meth:`repro.tuner.plan.Plan.reference`): the row-loop CSR reference
+kernel (``CSRMatrix.spmv(reference=True)``), the same oracle every tuned
+kernel is validated against in
+``tests/test_formats_reference_equivalence.py``.  It is always correct and
+needs no tuning, no conversion, and no cache entry.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import TransientError
-from repro.formats.csr import CSRMatrix
-from repro.types import FormatName
 
 
 class Deadline:
@@ -201,32 +201,3 @@ class CircuitBreaker:
                 f"({self._consecutive_failures} consecutive failures)"
             )
 
-
-class DegradedPlan:
-    """The universal fallback plan: the CSR reference (row-loop) kernel.
-
-    Requests are already submitted as :class:`CSRMatrix`, so no
-    conversion and no tuning stand between a build failure and a correct
-    answer — ``execute`` is exactly ``matrix.spmv(x, reference=True)``,
-    the oracle the whole kernel library is validated against.  Results
-    are bitwise equal to a direct ``reference=True`` call.  The engine
-    never stacks a degraded plan's group into an SpMM: each member runs
-    :meth:`execute`.
-    """
-
-    KERNEL_NAME = "csr-reference-degraded"
-    format_name = FormatName.CSR
-    kernel_name = KERNEL_NAME
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: CSRMatrix) -> None:
-        if not isinstance(matrix, CSRMatrix):
-            raise TypeError(
-                "DegradedPlan serves CSR inputs only, got "
-                f"{type(matrix).__name__}"
-            )
-        self.matrix = matrix
-
-    def execute(self, x):
-        return self.matrix.spmv(x, reference=True)

@@ -24,9 +24,9 @@ from repro.tuner.search import (
     search_kernels,
 )
 from repro.tuner.online import OnlineSmat
+from repro.tuner.plan import Plan, Tuner
 from repro.tuner.smat import (
     SMAT,
-    PreparedSpMV,
     build_training_dataset,
     label_matrix,
 )
@@ -39,10 +39,11 @@ __all__ = [
     "KernelSearchResult",
     "NEGLECT_GAP",
     "PerformanceTable",
-    "PreparedSpMV",
+    "Plan",
     "SMAT",
     "ScoreboardResult",
     "SmatConfig",
+    "Tuner",
     "build_training_dataset",
     "decide",
     "default_smat",

@@ -19,7 +19,10 @@ from repro.features.parameters import FeatureVector
 from repro.formats.csr import CSRMatrix
 from repro.learning.dataset import TrainingDataset
 from repro.learning.model import LearningModel, train_model
+from repro.machine.measure import MeasurementBackend
+from repro.tuner.config import SmatConfig
 from repro.tuner.runtime import Decision
+from repro.tuner.search import KernelSearchResult
 from repro.tuner.smat import SMAT
 
 
@@ -96,9 +99,28 @@ class OnlineSmat:
                         self._records_since_retrain = 0
         return decision
 
-    def spmv(self, matrix: CSRMatrix, x):
-        decision = self.decide(matrix)
-        return decision.serving_kernel(decision.matrix, x), decision
+    # Prepared and one-shot products run exactly as SMAT's do, through
+    # this tuner's own decide(), so their fallbacks are learned from too.
+    prepare = SMAT.prepare
+    spmv = SMAT.spmv
+
+    # What the serving engine and the AMG engine read off a tuner, plus
+    # the kernel choices, forwarded from the wrapped SMAT.
+    @property
+    def model(self) -> LearningModel:
+        return self.smat.model
+
+    @property
+    def config(self) -> SmatConfig:
+        return self.smat.config
+
+    @property
+    def kernels(self) -> KernelSearchResult:
+        return self.smat.kernels
+
+    @property
+    def backend(self) -> MeasurementBackend:
+        return self.smat.backend
 
     # ------------------------------------------------------------------
     def _retrain(self) -> bool:
@@ -144,6 +166,3 @@ class OnlineSmat:
         """A consistent copy of the accumulated fallback records."""
         with self._lock:
             return tuple(self.new_records)
-
-    def __getattr__(self, name: str):
-        return getattr(self.smat, name)

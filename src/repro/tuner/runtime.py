@@ -39,6 +39,7 @@ from repro import obs
 from repro.errors import ConversionError, TuningError
 from repro.features.cheap import CheapFeatures
 from repro.features.incremental import (
+    DeltaFeatures,
     LazyFeatures,
     STRUCTURE_COST_SPMV_UNITS,
 )
@@ -320,7 +321,14 @@ def decide(
             )
         else:
             decision = _decide(matrix, model, kernels, backend, config)
-        _apply_kernel_backend(decision, config, budgeted=cascading)
+        try:
+            specialize_kernel(
+                decision,
+                config.kernel_backend,
+                config.tune_budget_units if cascading else None,
+            )
+        except Exception:
+            pass  # specialization can never fail a decision
         if span is not None:
             span.attrs.update(
                 format=decision.format_name.value,
@@ -337,37 +345,36 @@ def decide(
         return decision
 
 
-def _apply_kernel_backend(
-    decision: Decision, config: SmatConfig, budgeted: bool
+def specialize_kernel(
+    decision: Decision,
+    backend_name: str,
+    budget_units: Optional[float] = None,
 ) -> None:
-    """Let the configured kernel backend specialize the decision's kernel.
+    """Let the named kernel backend specialize ``decision``'s kernel.
 
-    Runs after the format decision: the backend sees the converted matrix
-    and the registry kernel the rule walk picked, and may attach a
-    compiled replacement (``decision.compiled_kernel``).  Under the
-    budgeted cascade the specialization probes are charged against
-    ``tune_budget_units`` like any other stage — no budget left means the
-    decision silently keeps the generic kernel.  ``CodegenError`` (or any
-    backend failure) also keeps the generic kernel; specialization can
-    never fail a decision.
+    The one place a kernel backend runs, for the tuner and the serving
+    engine alike.  The backend sees the converted matrix and the registry
+    kernel the rule walk picked, and may attach a compiled replacement
+    (``decision.compiled_kernel``); its projected cost is charged to
+    ``decision.codegen_units``.  Nothing happens under the generic
+    backend, without a converted matrix, or when ``budget_units`` cannot
+    absorb the cost on top of what the decision already spent — the
+    decision then keeps the generic kernel.  A backend failure
+    (``CodegenError`` or any other) propagates with the decision
+    untouched; callers keep the generic kernel.
     """
-    if config.kernel_backend == "generic" or decision.matrix is None:
+    if backend_name == "generic" or decision.matrix is None:
         return
-    from repro.errors import KernelError
     from repro.kernels.backends import get_backend
 
-    try:
-        backend = get_backend(config.kernel_backend)
-    except KernelError:
-        return
+    backend = get_backend(backend_name)
     cost = backend.overhead_units(decision.matrix)
-    if budgeted and config.tune_budget_units is not None:
-        if decision.overhead_units + cost > config.tune_budget_units:
-            return
-    try:
-        specialized = backend.specialize(decision.matrix, decision.kernel)
-    except Exception:
+    if (
+        budget_units is not None
+        and decision.overhead_units + cost > budget_units
+    ):
         return
+    specialized = backend.specialize(decision.matrix, decision.kernel)
     decision.codegen_units = cost
     if specialized is not decision.kernel:
         decision.compiled_kernel = specialized
@@ -446,13 +453,20 @@ def cascade_select(
     matrix: CSRMatrix,
     model: LearningModel,
     config: SmatConfig = SmatConfig(),
+    features: Optional[DeltaFeatures] = None,
 ) -> CascadeSelection:
     """Run only the *selection* part of the cascade: cheap bounds walk,
     escalating to full lazy extraction when unresolved.  No conversion
     and no measurement — this is the decision-overhead kernel the
     ``tune/cascade_overhead`` benchmark times against always-full
     extraction.
+
+    ``features`` maintained across structure deltas for ``matrix``
+    answer the walk outright: stage ``"delta"``, zero extraction units.
     """
+    if features is not None:
+        fmt, confidence, rule = _model_walk(model, features.seed_lazy(matrix))
+        return CascadeSelection(fmt, confidence, rule, "delta", 0.0)
     cheap = CheapFeatures(
         matrix, census_max_diags=config.cheap_census_max_diags
     )

@@ -11,7 +11,6 @@ kernel, all behind one call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Tuple
 
@@ -28,29 +27,17 @@ from repro.learning.model import LearningModel, train_model
 from repro.machine.measure import MeasurementBackend, SimulatedBackend
 from repro.machine.presets import INTEL_XEON_X5680
 from repro.tuner.config import SmatConfig
+from repro.tuner.plan import Plan
 from repro.tuner.runtime import Decision, decide
 from repro.tuner.search import KernelSearchResult, search_kernels
 from repro.types import BASIC_FORMATS, FormatName, Precision
 
 
-@dataclass
-class PreparedSpMV:
-    """A matrix frozen in its tuned format: repeated products pay the
-    decision and conversion cost exactly once (the AMG use case)."""
-
-    decision: Decision
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        assert self.decision.matrix is not None
-        return self.decision.serving_kernel(self.decision.matrix, x)
-
-    @property
-    def format_name(self) -> FormatName:
-        return self.decision.format_name
-
-
 class SMAT:
-    """An input adaptive SpMV auto-tuner."""
+    """An input adaptive SpMV auto-tuner (satisfies :class:`Tuner`)."""
+
+    #: A plain SMAT never hot-swaps its model (``OnlineSmat`` does).
+    model_epoch = 0
 
     def __init__(
         self,
@@ -127,18 +114,18 @@ class SMAT:
             deadline=deadline,
         )
 
-    def prepare(self, matrix: CSRMatrix) -> PreparedSpMV:
-        """Decide once, convert once; returns a reusable SpMV operator."""
+    def prepare(self, matrix: CSRMatrix) -> Plan:
+        """Decide once, convert once; returns a reusable SpMV plan."""
         with obs.span("smat.prepare", nnz=int(matrix.nnz)):
-            return PreparedSpMV(self.decide(matrix))
+            return Plan.of(self.decide(matrix))
 
     def spmv(
         self, matrix: CSRMatrix, x: np.ndarray
     ) -> Tuple[np.ndarray, Decision]:
         """One-shot tuned SpMV: ``y, decision = smat.spmv(A, x)``."""
         with obs.span("smat.spmv", nnz=int(matrix.nnz)):
-            prepared = self.prepare(matrix)
-            return prepared(x), prepared.decision
+            plan = self.prepare(matrix)
+            return plan(x), plan.decision
 
     # ------------------------------------------------------------------
     # Persistence

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.formats import CSRMatrix
+from repro.tuner.config import SmatConfig
 
 
 @pytest.fixture
@@ -55,6 +56,16 @@ def random_csr(
     return CSRMatrix.from_dense(dense)
 
 
+class DecideOnlyTuner:
+    """The :class:`~repro.tuner.plan.Tuner` attributes of a test tuner
+    that only decides: no rule model (so a structure delta re-tunes),
+    the default config, and a model that never hot-swaps."""
+
+    model = None
+    config = SmatConfig()
+    model_epoch = 0
+
+
 @pytest.fixture
 def spmm_verdict(monkeypatch):
     """Force the engine's SpMM verdict for every plan and width.
@@ -63,7 +74,7 @@ def spmm_verdict(monkeypatch):
     SpMM kernel; ``spmm_verdict(False)`` serves every group request by
     request.  Nothing is measured while a verdict is forced.
     """
-    from repro.serve.plancache import SpmmVerdicts
+    from repro.tuner.plan import SpmmVerdicts
 
     def force(stack: bool) -> None:
         monkeypatch.setattr(

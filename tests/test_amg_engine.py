@@ -7,13 +7,14 @@ import pytest
 
 from repro.amg import CsrEngine, SmatEngine
 from repro.collection import generate_collection
+from repro.collection.banded import banded_matrix
 from repro.collection.grids import laplacian_5pt
 from repro.features.extract import extract_features
 from repro.kernels import Kernel
 from repro.kernels.codegen import GENERATED_STRATEGIES
 from repro.machine import INTEL_XEON_X5680, SimulatedBackend
 from repro.machine.costmodel import estimate_spmv_time
-from repro.tuner import SMAT
+from repro.tuner import SMAT, SmatConfig
 from repro.tuner.online import OnlineSmat
 from repro.types import FormatName, Precision
 
@@ -84,31 +85,36 @@ class TestSmatEngine:
         np.testing.assert_allclose(op(x), matrix.spmv(x), atol=1e-9)
 
 
+def attach_compiled(tuner, monkeypatch):
+    """Attach a compiled kernel to every decision ``tuner`` makes; returns
+    the list of matrices those kernels ran on."""
+    runs = []
+    decide = tuner.decide
+
+    def decide_with_compiled(matrix, deadline=None):
+        decision = decide(matrix, deadline=deadline)
+        generic = decision.kernel
+
+        def fn(m, x):
+            runs.append(m)
+            return generic.fn(m, x)
+
+        decision.compiled_kernel = Kernel(
+            generic.format_name, GENERATED_STRATEGIES, fn
+        )
+        return decision
+
+    monkeypatch.setattr(tuner, "decide", decide_with_compiled)
+    return runs
+
+
 class TestServingKernelBinding:
     """Every library-path product runs ``decision.serving_kernel``: the
     compiled kernel when the decision carries one."""
 
     @pytest.fixture
     def compiled_runs(self, smat, monkeypatch):
-        """Attach a compiled kernel to every decision; list its calls."""
-        runs = []
-        decide = smat.decide
-
-        def decide_with_compiled(matrix, deadline=None):
-            decision = decide(matrix, deadline=deadline)
-            generic = decision.kernel
-
-            def fn(m, x):
-                runs.append(m)
-                return generic.fn(m, x)
-
-            decision.compiled_kernel = Kernel(
-                generic.format_name, GENERATED_STRATEGIES, fn
-            )
-            return decision
-
-        monkeypatch.setattr(smat, "decide", decide_with_compiled)
-        return runs
+        return attach_compiled(smat, monkeypatch)
 
     def test_smat_engine_runs_compiled_kernel(
         self, smat, backend, compiled_runs, rng
@@ -148,3 +154,30 @@ class TestServingKernelBinding:
         y, decision = OnlineSmat(smat).spmv(matrix, x)
         np.testing.assert_allclose(y, matrix.spmv(x), atol=1e-9)
         assert compiled_runs == [decision.matrix]
+
+    def test_online_prepare_and_spmv_learn_from_their_fallbacks(
+        self, smat, monkeypatch, rng
+    ) -> None:
+        """``OnlineSmat.prepare`` and ``spmv`` decide through the online
+        learner, not the wrapped SMAT: each records its fallback
+        measurement, and each serves the decision's compiled kernel."""
+        forced = SMAT(
+            smat.model, smat.kernels, smat.backend,
+            SmatConfig(always_measure=True),
+        )
+        runs = attach_compiled(forced, monkeypatch)
+        online = OnlineSmat(forced, retrain_every=1000)
+        matrix = banded_matrix(500, 5, seed=1)
+        x = rng.standard_normal(matrix.n_cols)
+
+        plan = online.prepare(matrix)
+        assert plan.decision.used_fallback
+        assert online.observations == 1
+        np.testing.assert_allclose(plan(x), matrix.spmv(x), atol=1e-9)
+        assert runs == [plan.matrix]
+
+        y, decision = online.spmv(matrix, x)
+        assert decision.used_fallback
+        assert online.observations == 2
+        np.testing.assert_allclose(y, matrix.spmv(x), atol=1e-9)
+        assert runs == [plan.matrix, decision.matrix]

@@ -1,5 +1,5 @@
-"""Plan-cache tests: LRU under entry and byte budgets, invalidation,
-thread safety."""
+"""Plan-cache tests: LRU under an entry cap, byte accounting,
+invalidation, thread safety."""
 
 from __future__ import annotations
 
@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from repro.formats import CSRMatrix
-from repro.serve import CachedPlan, PlanCache, fingerprint
+from repro.serve import PlanCache, fingerprint
+from repro.tuner.plan import Plan
 from repro.tuner.runtime import Decision
 from repro.types import FormatName
 
 from tests.conftest import random_csr
 
 
-def _plan(matrix: CSRMatrix, kernel) -> CachedPlan:
+def _plan(matrix: CSRMatrix, kernel) -> Plan:
     decision = Decision(
         format_name=FormatName.CSR,
         kernel=kernel,
@@ -26,11 +27,11 @@ def _plan(matrix: CSRMatrix, kernel) -> CachedPlan:
         predicted_format=FormatName.CSR,
         matrix=matrix,
     )
-    return CachedPlan(
-        key=fingerprint(matrix),
-        decision=decision,
-        matrix_bytes=matrix.memory_bytes(),
-    )
+    return Plan.of(decision)
+
+
+def _keyed(matrix: CSRMatrix, kernel):
+    return fingerprint(matrix), _plan(matrix, kernel)
 
 
 @pytest.fixture(scope="module")
@@ -48,19 +49,17 @@ def matrices(rng):
 class TestBasics:
     def test_get_miss_then_hit(self, matrices, csr_kernel) -> None:
         cache = PlanCache(max_entries=4)
-        plan = _plan(matrices[0], csr_kernel)
-        assert cache.get(plan.key) is None
-        assert cache.put(plan)
-        assert cache.get(plan.key) is plan
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
-        assert cache.hit_rate == 0.5
+        key, plan = _keyed(matrices[0], csr_kernel)
+        assert cache.get(key) is None
+        cache.put(key, plan)
+        assert cache.get(key) is plan
+        assert key in cache and len(cache) == 1
 
     def test_plan_executes(self, matrices, csr_kernel) -> None:
         matrix = matrices[0]
         plan = _plan(matrix, csr_kernel)
         x = np.ones(matrix.n_cols)
-        np.testing.assert_allclose(plan.execute(x), matrix.spmv(x), atol=1e-9)
+        np.testing.assert_allclose(plan(x), matrix.spmv(x), atol=1e-9)
 
     def test_requires_converted_matrix(self, csr_kernel) -> None:
         decision = Decision(
@@ -73,64 +72,46 @@ class TestBasics:
             matrix=None,
         )
         with pytest.raises(ValueError, match="converted matrix"):
-            CachedPlan(key=None, decision=decision, matrix_bytes=0)
+            Plan.of(decision)
 
     def test_validation(self) -> None:
         with pytest.raises(ValueError, match="max_entries"):
             PlanCache(max_entries=0)
-        with pytest.raises(ValueError, match="max_bytes"):
-            PlanCache(max_bytes=0)
 
 
 class TestLru:
     def test_entry_cap_evicts_lru(self, matrices, csr_kernel) -> None:
         cache = PlanCache(max_entries=3)
-        plans = [_plan(m, csr_kernel) for m in matrices[:4]]
-        for plan in plans[:3]:
-            cache.put(plan)
-        cache.get(plans[0].key)  # refresh 0: now 1 is LRU
-        cache.put(plans[3])
-        assert plans[1].key not in cache
-        assert plans[0].key in cache
+        plans = [_keyed(m, csr_kernel) for m in matrices[:4]]
+        for key, plan in plans[:3]:
+            cache.put(key, plan)
+        cache.get(plans[0][0])  # refresh 0: now 1 is LRU
+        cache.put(*plans[3])
+        assert plans[1][0] not in cache
+        assert plans[0][0] in cache
         assert len(cache) == 3
         assert cache.stats()["evictions"] == 1
 
-    def test_byte_budget_evicts(self, matrices, csr_kernel) -> None:
-        plans = [_plan(m, csr_kernel) for m in matrices[:3]]
-        budget = plans[0].matrix_bytes + plans[1].matrix_bytes
-        cache = PlanCache(max_entries=100, max_bytes=budget)
-        assert cache.put(plans[0]) and cache.put(plans[1])
-        cache.put(plans[2])  # overflows the byte budget -> evict LRU
-        assert plans[0].key not in cache
-        assert cache.bytes_used <= budget
-
-    def test_oversized_plan_rejected(self, matrices, csr_kernel) -> None:
-        plan = _plan(matrices[0], csr_kernel)
-        cache = PlanCache(max_entries=4, max_bytes=plan.matrix_bytes - 1)
-        assert not cache.put(plan)
-        assert len(cache) == 0
-        assert cache.stats()["rejected"] == 1
-
     def test_reinsert_replaces(self, matrices, csr_kernel) -> None:
         cache = PlanCache(max_entries=4)
-        first = _plan(matrices[0], csr_kernel)
+        key, first = _keyed(matrices[0], csr_kernel)
         second = _plan(matrices[0], csr_kernel)
-        cache.put(first)
-        cache.put(second)
+        cache.put(key, first)
+        cache.put(key, second)
         assert len(cache) == 1
-        assert cache.get(first.key) is second
-        assert cache.bytes_used == second.matrix_bytes
+        assert cache.get(key) is second
+        assert cache.bytes_used == second.matrix.memory_bytes()
 
 
 class TestInvalidation:
     def test_invalidate_and_clear(self, matrices, csr_kernel) -> None:
         cache = PlanCache(max_entries=8)
-        plans = [_plan(m, csr_kernel) for m in matrices[:3]]
-        for plan in plans:
-            cache.put(plan)
-        assert cache.invalidate(plans[1].key)
-        assert not cache.invalidate(plans[1].key)
-        assert plans[1].key not in cache
+        plans = [_keyed(m, csr_kernel) for m in matrices[:3]]
+        for key, plan in plans:
+            cache.put(key, plan)
+        assert cache.invalidate(plans[1][0])
+        assert not cache.invalidate(plans[1][0])
+        assert plans[1][0] not in cache
         assert cache.clear() == 2
         assert len(cache) == 0 and cache.bytes_used == 0
 
@@ -138,7 +119,7 @@ class TestInvalidation:
 class TestThreadSafety:
     def test_concurrent_put_get_invalidate(self, csr_kernel, rng) -> None:
         matrices = [random_csr(rng, n_rows=20 + i) for i in range(16)]
-        plans = [_plan(m, csr_kernel) for m in matrices]
+        plans = [_keyed(m, csr_kernel) for m in matrices]
         cache = PlanCache(max_entries=8)
         errors = []
 
@@ -146,15 +127,15 @@ class TestThreadSafety:
             local = np.random.default_rng(seed)
             try:
                 for _ in range(300):
-                    plan = plans[int(local.integers(len(plans)))]
+                    key, plan = plans[int(local.integers(len(plans)))]
                     op = int(local.integers(3))
                     if op == 0:
-                        cache.put(plan)
+                        cache.put(key, plan)
                     elif op == 1:
-                        got = cache.get(plan.key)
-                        assert got is None or got.key == plan.key
+                        got = cache.get(key)
+                        assert got is None or got is plan
                     else:
-                        cache.invalidate(plan.key)
+                        cache.invalidate(key)
             except BaseException as exc:  # surfaced in the main thread
                 errors.append(exc)
 
@@ -169,7 +150,7 @@ class TestThreadSafety:
         assert len(cache) <= 8
         stats = cache.stats()
         assert stats["bytes"] == sum(
-            p.matrix_bytes
-            for p in plans
-            if p.key in cache
+            plan.matrix.memory_bytes()
+            for key, plan in plans
+            if key in cache
         )

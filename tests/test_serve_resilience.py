@@ -10,6 +10,7 @@ synchronization).
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import CancelledError, Future
 
 import numpy as np
@@ -26,7 +27,6 @@ from repro.serve import (
     BreakerState,
     CircuitBreaker,
     Deadline,
-    DegradedPlan,
     FaultPlan,
     FaultRule,
     InjectedFatalFault,
@@ -44,9 +44,10 @@ from repro.serve.engine import (
 )
 from repro.serve.resilience import BuildTicket
 from repro.tuner import SMAT
+from repro.tuner.plan import DEGRADED_KERNEL_NAME, Plan
 from repro.types import FormatName, Precision
 
-from tests.conftest import random_csr
+from tests.conftest import DecideOnlyTuner, random_csr
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ def smat() -> SMAT:
     )
 
 
-class CountingTuner:
+class CountingTuner(DecideOnlyTuner):
     """Delegating tuner that counts (and tracks concurrency of) decide()."""
 
     def __init__(self, inner):
@@ -68,7 +69,7 @@ class CountingTuner:
         self.active = 0
         self.max_active = 0
 
-    def decide(self, matrix):
+    def decide(self, matrix, deadline=None):
         with self.lock:
             self.calls += 1
             self.active += 1
@@ -80,7 +81,7 @@ class CountingTuner:
                 self.active -= 1
 
 
-class GatedTuner:
+class GatedTuner(DecideOnlyTuner):
     """Delegating tuner that blocks decide() until ``gate`` is set and
     announces entry via ``entered`` — event-based worker stalling."""
 
@@ -89,7 +90,7 @@ class GatedTuner:
         self.gate = threading.Event()
         self.entered = threading.Event()
 
-    def decide(self, matrix):
+    def decide(self, matrix, deadline=None):
         self.entered.set()
         assert self.gate.wait(timeout=30), "test gate never opened"
         return self.inner.decide(matrix)
@@ -215,24 +216,29 @@ class TestSingleFlightRefcount:
         engine._acquire_build_lock(key)
         engine._release_build_lock(key)
 
-    def test_uncacheable_plans_never_build_concurrently(
-        self, smat, rng
-    ) -> None:
-        """Stress the single-flight path with a cache that admits nothing
-        (every plan 'uncacheable'): builds for one fingerprint must
-        serialize — max decide() concurrency 1 — under a client storm."""
-        tuner = CountingTuner(smat)
+    def test_failing_builds_never_run_concurrently(self, rng) -> None:
+        """A failed build leaves no plan in the cache, so every waiter on
+        the single-flight lock builds again: under a client storm those
+        builds must still serialize — max decide() concurrency 1 — and
+        every request is served degraded."""
+
+        class FailingTuner(DecideOnlyTuner):
+            def decide(self, matrix, deadline=None):
+                time.sleep(0.002)  # hold the build long enough to overlap
+                raise RuntimeError("no plan")
+
+        tuner = CountingTuner(FailingTuner())
         matrix = random_csr(rng, n_rows=50, n_cols=50)
         config = ServeConfig(
-            workers=4, max_batch=1, cache_bytes=1, queue_capacity=64
+            workers=4, max_batch=1, queue_capacity=64, breaker_threshold=100
         )
         with ServingEngine(tuner, config) as engine:
             results = engine.spmv_many(
                 [(matrix, np.full(50, float(i))) for i in range(16)]
             )
-        assert len(results) == 16
+        assert all(result.degraded for result in results)
+        assert tuner.calls == 16
         assert tuner.max_active == 1
-        assert engine.metrics.counter("plans_uncacheable").value > 0
 
     def test_cacheable_storm_builds_exactly_once(self, smat, rng) -> None:
         tuner = CountingTuner(smat)
@@ -467,10 +473,11 @@ class TestCircuitBreakerUnit:
     def test_degraded_plan_is_reference_csr(self, rng) -> None:
         matrix = random_csr(rng, n_rows=33, n_cols=29)
         x = rng.standard_normal(29)
-        plan = DegradedPlan(matrix)
-        assert np.array_equal(plan.execute(x), matrix.spmv(x, reference=True))
+        plan = Plan.reference(matrix)
+        assert plan.degraded and not plan.native_spmm
+        assert np.array_equal(plan(x), matrix.spmv(x, reference=True))
         with pytest.raises(TypeError, match="CSR"):
-            DegradedPlan(object())
+            Plan.reference(object())
 
 
 class TestDegradationEndToEnd:
@@ -503,7 +510,7 @@ class TestDegradationEndToEnd:
                 result = engine.spmv(matrix, x)
                 assert result.degraded
                 assert result.format_name is FormatName.CSR
-                assert result.kernel_name == DegradedPlan.KERNEL_NAME
+                assert result.kernel_name == DEGRADED_KERNEL_NAME
                 assert np.array_equal(result.y, reference)
             assert engine.metrics.counter("breaker_opened").value == 1
             assert engine.breaker_states()[fingerprint(matrix)] is (

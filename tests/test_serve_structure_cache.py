@@ -19,7 +19,6 @@ from repro.formats.convert import CONVERSION_EVENTS
 from repro.formats.csr import CSRMatrix
 from repro.machine import INTEL_XEON_X5680, SimulatedBackend
 from repro.serve import (
-    CachedPlan,
     FaultPlan,
     FaultRule,
     PlanCache,
@@ -30,6 +29,7 @@ from repro.serve import (
     structural_digest,
 )
 from repro.tuner import SMAT
+from repro.tuner.plan import Plan
 from repro.tuner.runtime import Decision
 from repro.types import FormatName, Precision
 
@@ -96,7 +96,8 @@ class TestStructureKey:
         assert "/~" in str(key)  # the "~" marks a structure-only digest
 
 
-def _plan(matrix: CSRMatrix, kernel) -> CachedPlan:
+def _put(cache: PlanCache, matrix: CSRMatrix, kernel):
+    """Admit a CSR plan for ``matrix``; returns ``(key, plan)``."""
     decision = Decision(
         format_name=FormatName.CSR,
         kernel=kernel,
@@ -106,11 +107,9 @@ def _plan(matrix: CSRMatrix, kernel) -> CachedPlan:
         predicted_format=FormatName.CSR,
         matrix=matrix,
     )
-    return CachedPlan(
-        key=fingerprint(matrix),
-        decision=decision,
-        matrix_bytes=matrix.memory_bytes(),
-    )
+    key, plan = fingerprint(matrix), Plan.of(decision)
+    cache.put(key, plan)
+    return key, plan
 
 
 @pytest.fixture(scope="module")
@@ -126,8 +125,7 @@ class TestStructureIndex:
     ) -> None:
         cache = PlanCache(max_entries=4)
         base, churned = _churn(random_csr(rng), 2)
-        plan = _plan(base, csr_kernel)
-        cache.put(plan)
+        _, plan = _put(cache, base, csr_kernel)
         skey = fingerprint(churned).structure_key
         assert cache.get(fingerprint(churned)) is None  # tier-1 miss
         assert cache.get_by_structure(skey) is plan  # tier-2 hit
@@ -139,21 +137,19 @@ class TestStructureIndex:
     ) -> None:
         cache = PlanCache(max_entries=4)
         base, churned, probe = _churn(random_csr(rng), 3)
-        first, second = _plan(base, csr_kernel), _plan(churned, csr_kernel)
-        cache.put(first)
-        cache.put(second)
+        _put(cache, base, csr_kernel)
+        _, second = _put(cache, churned, csr_kernel)
         skey = fingerprint(probe).structure_key
         assert cache.get_by_structure(skey) is second
         assert cache.stats()["structure_entries"] == 1
 
     def test_eviction_unlinks_the_index(self, rng, csr_kernel) -> None:
         cache = PlanCache(max_entries=1)
-        a = _plan(random_csr(rng, n_rows=30), csr_kernel)
-        b = _plan(random_csr(rng, n_rows=31), csr_kernel)
-        cache.put(a)
-        cache.put(b)  # evicts a
-        assert cache.get_by_structure(a.key.structure_key) is None
-        assert cache.get_by_structure(b.key.structure_key) is b
+        a_key, _ = _put(cache, random_csr(rng, n_rows=30), csr_kernel)
+        b_key, b = _put(cache, random_csr(rng, n_rows=31), csr_kernel)
+        # Admitting b evicted a.
+        assert cache.get_by_structure(a_key.structure_key) is None
+        assert cache.get_by_structure(b_key.structure_key) is b
         assert cache.stats()["structure_entries"] == 1
 
     def test_eviction_keeps_a_successors_index_entry(
@@ -163,23 +159,23 @@ class TestStructureIndex:
         sibling took over."""
         cache = PlanCache(max_entries=2)
         base, churned = _churn(random_csr(rng), 2)
-        old, new = _plan(base, csr_kernel), _plan(churned, csr_kernel)
-        cache.put(old)
-        cache.put(new)  # takes over the shared structure slot
-        cache.put(_plan(random_csr(rng, n_rows=33), csr_kernel))  # evicts old
-        assert cache.get_by_structure(old.key.structure_key) is new
+        old_key, _ = _put(cache, base, csr_kernel)
+        # The sibling takes over the shared structure slot, then a third
+        # plan evicts the old one.
+        _, new = _put(cache, churned, csr_kernel)
+        _put(cache, random_csr(rng, n_rows=33), csr_kernel)
+        assert cache.get_by_structure(old_key.structure_key) is new
 
     def test_invalidate_unlinks(self, rng, csr_kernel) -> None:
         cache = PlanCache(max_entries=4)
-        plan = _plan(random_csr(rng), csr_kernel)
-        cache.put(plan)
-        assert cache.invalidate(plan.key)
-        assert cache.get_by_structure(plan.key.structure_key) is None
+        key, _ = _put(cache, random_csr(rng), csr_kernel)
+        assert cache.invalidate(key)
+        assert cache.get_by_structure(key.structure_key) is None
         assert cache.stats()["structure_entries"] == 0
 
     def test_clear_empties_the_index(self, rng, csr_kernel) -> None:
         cache = PlanCache(max_entries=4)
-        cache.put(_plan(random_csr(rng), csr_kernel))
+        _put(cache, random_csr(rng), csr_kernel)
         cache.clear()
         assert cache.stats()["structure_entries"] == 0
 
@@ -188,15 +184,14 @@ class TestStructureIndex:
     ) -> None:
         """A churn workload must not evict its own structure donor."""
         cache = PlanCache(max_entries=2)
-        donor = _plan(random_csr(rng, n_rows=30), csr_kernel)
-        other = _plan(random_csr(rng, n_rows=31), csr_kernel)
-        cache.put(donor)
-        cache.put(other)  # donor is now LRU
-        assert cache.get_by_structure(donor.key.structure_key) is donor
-        cache.put(_plan(random_csr(rng, n_rows=32), csr_kernel))
+        donor_key, donor = _put(cache, random_csr(rng, n_rows=30), csr_kernel)
+        other_key, _ = _put(cache, random_csr(rng, n_rows=31), csr_kernel)
+        # The donor is now LRU; the tier-2 hit makes it MRU.
+        assert cache.get_by_structure(donor_key.structure_key) is donor
+        _put(cache, random_csr(rng, n_rows=32), csr_kernel)
         # ``other`` was evicted, not the freshly-used donor.
-        assert cache.get(donor.key, record_stats=False) is donor
-        assert cache.get(other.key, record_stats=False) is None
+        assert cache.get(donor_key) is donor
+        assert cache.get(other_key) is None
 
 
 class TestEngineValueChurn:

@@ -28,6 +28,7 @@ from repro.serve import (
     fingerprint,
     replay,
 )
+from repro.serve.engine import DELTA_PATCH_MAX_RATIO
 from repro.tuner import SMAT
 from repro.types import INDEX_DTYPE, Precision
 
@@ -50,7 +51,7 @@ def engine(smat):
 
 
 def _small_delta(matrix: CSRMatrix, rng: np.random.Generator) -> StructureDelta:
-    """A few edits — far below ``delta_patch_max_ratio`` of nnz."""
+    """A few edits — far below ``DELTA_PATCH_MAX_RATIO`` of nnz."""
     degrees = matrix.row_degrees()
     row = int(np.argmax(degrees))
     start = int(matrix.ptr[row])
@@ -93,7 +94,7 @@ class TestMigrationPolicies:
         # Maintained features answered the re-decision — no extraction.
         assert outcome.redecision_stage == "delta"
         assert outcome.old_format is not None
-        assert outcome.delta_ratio <= engine.config.delta_patch_max_ratio
+        assert outcome.delta_ratio <= DELTA_PATCH_MAX_RATIO
 
         counters = engine.metrics.snapshot()["counters"]
         assert counters["deltas_applied"] == 1
@@ -116,7 +117,7 @@ class TestMigrationPolicies:
         outcome = engine.apply_structure_delta(matrix, _big_delta(matrix, rng))
         assert outcome.policy == "retune"
         assert outcome.redecision_stage is None
-        assert outcome.delta_ratio > engine.config.delta_patch_max_ratio
+        assert outcome.delta_ratio > DELTA_PATCH_MAX_RATIO
         counters = engine.metrics.snapshot()["counters"]
         assert counters["delta_retunes"] == 1
 
@@ -141,10 +142,6 @@ class TestMigrationPolicies:
         _, effect = apply_delta(matrix, delta)
         outcome = engine.apply_structure_delta(matrix, delta)
         assert outcome.delta_ratio == effect.structural_size / matrix.nnz
-
-    def test_negative_patch_ceiling_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            ServeConfig(delta_patch_max_ratio=-0.1)
 
 
 class TestFingerprintRemint:

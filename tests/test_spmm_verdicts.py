@@ -19,16 +19,16 @@ from repro.formats.convert import convert
 from repro.formats.delta import StructureDelta
 from repro.kernels import kernels_for
 from repro.serve import ServeConfig, ServingEngine, fingerprint
-from repro.serve.plancache import (
+from repro.tuner.plan import (
     VERDICT_SAMPLES,
-    CachedPlan,
+    Plan,
     SpmmVerdicts,
     width_bucket,
 )
 from repro.tuner.runtime import Decision
 from repro.types import FormatName
 
-from tests.conftest import random_csr
+from tests.conftest import DecideOnlyTuner, random_csr
 from tests.test_properties_differential import (
     dyadic_operand,
     with_dyadic_data,
@@ -39,14 +39,14 @@ NON_NATIVE = ("COO", "HYB")
 WIDTHS = (2, 4, 8, 32)
 
 
-class FormatTuner:
+class FormatTuner(DecideOnlyTuner):
     """Decides one fixed format for every matrix, with that format's
     most-vectorized registry kernel."""
 
     def __init__(self, fmt: FormatName) -> None:
         self.fmt = fmt
 
-    def decide(self, matrix):
+    def decide(self, matrix, deadline=None):
         converted, _ = convert(matrix, self.fmt, fill_budget=None)
         return Decision(
             format_name=self.fmt,
@@ -59,10 +59,10 @@ class FormatTuner:
         )
 
 
-class FailingTuner:
+class FailingTuner(DecideOnlyTuner):
     """Every build fails, so every request is served degraded."""
 
-    def decide(self, matrix):
+    def decide(self, matrix, deadline=None):
         raise RuntimeError("no plan for you")
 
 
@@ -214,7 +214,7 @@ class TestVerdictLifecycle:
 
     def test_no_group_executes_twice(self, rng, monkeypatch) -> None:
         columns = []
-        execute, spmm = CachedPlan.execute, CachedPlan.spmm
+        execute, spmm = Plan.__call__, Plan.spmm
 
         def counting_execute(self, x):
             columns.append(1)
@@ -224,8 +224,8 @@ class TestVerdictLifecycle:
             columns.append(X.shape[1])
             return spmm(self, X)
 
-        monkeypatch.setattr(CachedPlan, "execute", counting_execute)
-        monkeypatch.setattr(CachedPlan, "spmm", counting_spmm)
+        monkeypatch.setattr(Plan, "__call__", counting_execute)
+        monkeypatch.setattr(Plan, "spmm", counting_spmm)
         matrix, xs = dyadic_case(rng, 8)
         groups = [xs[:w] for w in (2, 4, 8, 3, 5)] * 4
         with ServingEngine(FormatTuner(FormatName.DIA), CONFIG) as engine:
