@@ -10,7 +10,8 @@ Two layers live here:
 * :class:`DeltaFeatures` — maintenance of the full Table 2 vector under
   structure churn.  Attaching does one ordinary extraction-priced scan;
   after that, each :class:`repro.formats.delta.DeltaEffect` updates the
-  degree distribution and diagonal census in O(delta) work, and
+  degree array in O(delta) and the diagonal census, true-diagonal count
+  included, in O(touched offsets), and
   :meth:`DeltaFeatures.structure_snapshot` /
   :meth:`DeltaFeatures.powerlaw` reproduce
   :func:`repro.features.extract.extract_structure_features` and
@@ -60,7 +61,7 @@ class LazyFeatures:
     ``structure`` (and ``r``) seed the respective steps when a caller
     already holds exact values — the cascade's narrow-band census
     produces the full step-one set at bincount prices, and
-    :meth:`DeltaFeatures.seed_lazy` supplies both steps from O(delta)
+    :meth:`DeltaFeatures.seed_lazy` supplies both steps from delta
     maintenance.  ``r_source`` seeds step two *by reference*: the
     callable is consulted only if a rule actually reads ``r`` (a format
     walk that never tests R should not pay for a degree sort, even a
@@ -144,15 +145,41 @@ class LazyFeatures:
         return cost
 
 
+#: A census bump over more distinct offsets than this runs as NumPy
+#: array operations; up to it, a Python loop is cheaper than their fixed
+#: per-call cost (a banded matrix's delta touches a handful of offsets,
+#: a 0.5%-of-nnz delta on a 20k-node graph about 140 per bump).
+LOOP_BUMP_MAX_OFFSETS = 32
+
+
+def _true_diagonals(
+    offsets: np.ndarray, counts: np.ndarray, m: int, n: int
+) -> int:
+    """How many of ``offsets`` hold enough entries to be true diagonals.
+
+    The expression of :func:`repro.features.extract._diagonal_census`,
+    same IEEE division included, so a count kept up by summing this over
+    touched offsets matches a fresh extraction bit for bit.
+    """
+    lengths = np.minimum(m, n - offsets) - np.maximum(0, -offsets)
+    occupancy = counts / np.maximum(lengths, 1)
+    return int(np.count_nonzero(occupancy >= TRUE_DIAGONAL_THRESHOLD))
+
+
 class DeltaFeatures:
     """The Table 2 vector maintained under structure churn.
 
     The constructor pays one full scan (the same price as a cold
-    extraction); every :meth:`apply` thereafter is O(delta): the degree
-    array gets two scatter-adds and the diagonal census a handful of
-    dictionary bumps.  No re-scan of the matrix ever happens, which is
-    the whole point — the serving layer keeps one of these per live
-    structure and re-decides formats from it at delta prices.
+    extraction).  Every :meth:`apply` thereafter costs O(delta) for the
+    degree array's two scatter-adds and O(touched offsets) for the
+    diagonal census, which keeps its true-diagonal count current as the
+    bumps land, so :meth:`structure_snapshot` reads Ndiags and the
+    true-diagonal ratio without a pass over the census.  Only max_RD and
+    var_RD stay O(m) NumPy passes over the degree array: no running sum
+    of squares reproduces extraction's ``np.mean`` bit for bit.  No
+    re-scan of the matrix ever happens, which is the whole point — the
+    serving layer keeps one of these per live structure and re-decides
+    formats from it at delta prices.
     """
 
     def __init__(self, matrix: CSRMatrix) -> None:
@@ -161,6 +188,8 @@ class DeltaFeatures:
         self._degrees = matrix.row_degrees().astype(INDEX_DTYPE, copy=True)
         self._nnz = int(matrix.nnz)
         self._diag_counts: Dict[int, int] = {}
+        #: Offsets whose occupancy clears ``TRUE_DIAGONAL_THRESHOLD``.
+        self._n_true = 0
         if matrix.nnz:
             row_of = np.repeat(
                 np.arange(matrix.n_rows, dtype=INDEX_DTYPE),
@@ -172,6 +201,7 @@ class DeltaFeatures:
             self._diag_counts = dict(
                 zip(offsets.tolist(), counts.tolist())
             )
+            self._n_true = _true_diagonals(offsets, counts, m, n)
 
     @property
     def nnz(self) -> int:
@@ -182,7 +212,8 @@ class DeltaFeatures:
         return self._shape
 
     def apply(self, effect: DeltaEffect) -> None:
-        """Fold one delta's effect in — O(len(effect)) work."""
+        """Fold one delta's effect in: O(len(effect)) work, plus one
+        O(m) check that no row degree went negative."""
         if tuple(effect.shape) != self._shape:
             raise ValueError(
                 f"delta effect for shape {effect.shape} applied to "
@@ -201,16 +232,50 @@ class DeltaFeatures:
 
     def _bump(self, offsets: np.ndarray, sign: int) -> None:
         uniq, counts = np.unique(offsets, return_counts=True)
-        for off, cnt in zip(uniq.tolist(), counts.tolist()):
-            total = self._diag_counts.get(off, 0) + sign * cnt
-            if total > 0:
-                self._diag_counts[off] = total
-            elif total == 0:
-                self._diag_counts.pop(off, None)
-            else:
+        if uniq.shape[0] > LOOP_BUMP_MAX_OFFSETS:
+            self._bump_arrays(uniq, sign * counts)
+        else:
+            self._bump_loop(uniq.tolist(), (sign * counts).tolist())
+
+    def _bump_loop(self, offsets: list, changes: list) -> None:
+        m, n = self._shape
+        census = self._diag_counts
+        for off, change in zip(offsets, changes):
+            before = census.get(off, 0)
+            after = before + change
+            if after < 0:
                 raise ValueError(
                     f"diagonal census for offset {off} went negative"
                 )
+            if after:
+                census[off] = after
+            else:
+                del census[off]
+            # Python's int / int is the same correctly rounded division
+            # NumPy applies in _true_diagonals.
+            length = max(min(m, n - off) - max(0, -off), 1)
+            self._n_true += (
+                after / length >= TRUE_DIAGONAL_THRESHOLD
+            ) - (before / length >= TRUE_DIAGONAL_THRESHOLD)
+
+    def _bump_arrays(self, offsets: np.ndarray, changes: np.ndarray) -> None:
+        m, n = self._shape
+        census = self._diag_counts
+        keys = offsets.tolist()
+        before = np.array([census.get(k, 0) for k in keys], dtype=np.int64)
+        after = before + changes
+        if int(after.min()) < 0:
+            raise ValueError(
+                f"diagonal census for offset {keys[int(np.argmin(after))]} "
+                "went negative"
+            )
+        self._n_true += _true_diagonals(
+            offsets, after, m, n
+        ) - _true_diagonals(offsets, before, m, n)
+        live = after > 0
+        census.update(zip(offsets[live].tolist(), after[live].tolist()))
+        for off in offsets[~live].tolist():
+            del census[off]
 
     def structure_snapshot(self) -> dict:
         """The step-one dict, formula-for-formula identical to
@@ -245,23 +310,8 @@ class DeltaFeatures:
         }
 
     def _diagonal_census(self) -> tuple:
-        if not self._diag_counts:
-            return 0, 0
-        m, n = self._shape
-        offsets = np.fromiter(
-            sorted(self._diag_counts), dtype=np.int64,
-            count=len(self._diag_counts),
-        )
-        counts = np.fromiter(
-            (self._diag_counts[int(k)] for k in offsets), dtype=np.int64,
-            count=offsets.shape[0],
-        )
-        lengths = np.minimum(m, n - offsets) - np.maximum(0, -offsets)
-        occupancy = counts / np.maximum(lengths, 1)
-        n_true = int(
-            np.count_nonzero(occupancy >= TRUE_DIAGONAL_THRESHOLD)
-        )
-        return int(offsets.shape[0]), n_true
+        """(Ndiags, true diagonals), both maintained by :meth:`_bump`."""
+        return len(self._diag_counts), self._n_true
 
     def powerlaw(self) -> float:
         """The step-two R from the maintained degree array — the same

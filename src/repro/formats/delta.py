@@ -140,11 +140,13 @@ def apply_delta(
 ) -> Tuple[CSRMatrix, DeltaEffect]:
     """Splice a delta into a canonical CSR matrix without re-sorting it.
 
-    The base matrix's entries are already sorted by ``row * n + col``, so
-    deletions are binary searches, insertions are one sort over the delta
-    alone plus an :func:`np.insert` splice, and the untouched entries are
-    carried over byte-for-byte.  Cost is ``O(delta log delta + nnz)``
-    array traffic with no Python-level loop.
+    Only the rows the delta touches are searched: their stored entries
+    get ``row * n + col`` keys (already sorted, because the matrix is
+    canonical), and deletions and insertions are binary searches into
+    those keys.  Survivors and fresh entries are then written in one
+    masked scatter per array, and two ``bincount`` calls move ``ptr``.
+    Cost is O(nnz) in copies plus O(entries of the touched rows + delta
+    log delta) in search, with no Python-level loop.
     """
     m, n = matrix.shape
     ins_rows = np.asarray(delta.insert_rows, dtype=INDEX_DTYPE)
@@ -174,30 +176,53 @@ def apply_delta(
                             del_rows, del_cols)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values: ``np.unique`` by one sort and one compare
+    (NumPy 2's hash-based ``np.unique`` is several times slower here)."""
+    values = np.sort(values)
+    first = np.ones(values.shape[0], dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
+def _row_keys(
+    csr: CSRMatrix, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions and ``row * n + col`` keys of the stored entries of
+    ``rows`` (sorted, distinct), both ascending: the search space of a
+    row-local lookup."""
+    starts = csr.ptr[rows]
+    degrees = csr.ptr[rows + 1] - starts
+    ends = np.cumsum(degrees)
+    slots = np.arange(int(ends[-1]) if ends.size else 0, dtype=INDEX_DTYPE)
+    slots += np.repeat(starts - (ends - degrees), degrees)
+    keys = np.repeat(rows * np.int64(csr.n_cols), degrees)
+    keys += csr.indices[slots]
+    return slots, keys
+
+
 def _apply_delta(matrix, ins_rows, ins_cols, ins_vals, del_rows, del_cols):
     m, n = matrix.shape
     span = np.int64(n)
-    row_of = np.repeat(
-        np.arange(m, dtype=INDEX_DTYPE), matrix.row_degrees()
+    slots, keys = _row_keys(
+        matrix, _distinct(np.concatenate([ins_rows, del_rows]))
     )
-    old_keys = row_of.astype(np.int64) * span + matrix.indices.astype(np.int64)
 
     # -- deletions: binary-search each (deduplicated) coordinate ----------
-    del_keys = np.unique(del_rows.astype(np.int64) * span + del_cols)
-    pos = np.searchsorted(old_keys, del_keys)
-    valid = (pos < old_keys.shape[0]) & (old_keys[np.minimum(
-        pos, max(old_keys.shape[0] - 1, 0)
-    )] == del_keys) if old_keys.size else np.zeros(del_keys.shape[0], bool)
+    del_keys = _distinct(del_rows.astype(np.int64) * span + del_cols)
+    pos = np.searchsorted(keys, del_keys)
+    valid = (pos < keys.shape[0]) & (keys[np.minimum(
+        pos, max(keys.shape[0] - 1, 0)
+    )] == del_keys) if keys.size else np.zeros(del_keys.shape[0], bool)
     if not np.all(valid):
         missing = del_keys[~valid][0] if del_keys.size else -1
         raise FormatError(
             f"delete targets a missing entry at "
             f"(row={int(missing // span)}, col={int(missing % span)})"
         )
-    keep = np.ones(old_keys.shape[0], dtype=bool)
-    keep[pos] = False
-    kept_keys = old_keys[keep]
-    kept_vals = matrix.data[keep]
+    deleted = slots[pos]
+    keep = np.ones(matrix.nnz, dtype=bool)
+    keep[deleted] = False
 
     # -- insertions: sum duplicates among themselves, then merge ----------
     ins_keys = ins_rows.astype(np.int64) * span + ins_cols
@@ -205,34 +230,53 @@ def _apply_delta(matrix, ins_rows, ins_cols, ins_vals, del_rows, del_cols):
     summed = np.zeros(uniq_ins.shape[0], dtype=matrix.dtype)
     np.add.at(summed, inverse, ins_vals)
 
-    cpos = np.searchsorted(kept_keys, uniq_ins)
+    at = np.searchsorted(keys, uniq_ins)
     collide = np.zeros(uniq_ins.shape[0], dtype=bool)
-    in_range = cpos < kept_keys.shape[0]
-    collide[in_range] = kept_keys[cpos[in_range]] == uniq_ins[in_range]
-
-    new_vals = kept_vals.copy()
-    new_vals[cpos[collide]] += summed[collide]
-
+    if keys.size:
+        hit = np.minimum(at, keys.shape[0] - 1)
+        collide = (keys[hit] == uniq_ins) & keep[slots[hit]]
     fresh_keys = uniq_ins[~collide]
-    fresh_vals = summed[~collide]
-    splice = np.searchsorted(kept_keys, fresh_keys)
-    final_keys = np.insert(kept_keys, splice, fresh_keys)
-    final_vals = np.insert(new_vals, splice, fresh_vals)
+    fresh_rows = (fresh_keys // span).astype(INDEX_DTYPE)
+    fresh_cols = (fresh_keys % span).astype(INDEX_DTYPE)
+    # Each fresh entry's slot in the new arrays: the old entries ahead of
+    # it (its row's start plus its rank among the row's keys), less the
+    # deleted ones among them, plus the fresh entries ahead of it (its
+    # own rank, because fresh_keys is sorted).
+    ahead = matrix.ptr[fresh_rows] + (
+        np.searchsorted(keys, fresh_keys)
+        - np.searchsorted(keys, fresh_rows * span)
+    )
+    ahead -= np.searchsorted(deleted, ahead)
+    fresh_at = ahead + np.arange(fresh_keys.shape[0], dtype=INDEX_DTYPE)
 
-    final_rows = (final_keys // span).astype(INDEX_DTYPE)
-    final_cols = (final_keys % span).astype(INDEX_DTYPE)
-    ptr = np.zeros(m + 1, dtype=INDEX_DTYPE)
+    # -- move ptr, then write survivors and fresh entries in one scatter --
+    removed_rows = (del_keys // span).astype(INDEX_DTYPE)
+    ptr = np.empty(m + 1, dtype=INDEX_DTYPE)
+    ptr[0] = 0
     np.cumsum(
-        np.bincount(final_rows, minlength=m).astype(INDEX_DTYPE),
+        np.bincount(fresh_rows, minlength=m)
+        - np.bincount(removed_rows, minlength=m),
         out=ptr[1:],
     )
-    new_csr = CSRMatrix._from_validated(ptr, final_cols, final_vals, (m, n))
+    ptr[1:] += matrix.ptr[1:]
+    survivor_slot = np.ones(int(ptr[-1]), dtype=bool)
+    survivor_slot[fresh_at] = False
+    survivors = matrix.data[keep]
+    updated = slots[at[collide]]
+    survivors[updated - np.searchsorted(deleted, updated)] += summed[collide]
+    indices = np.empty(survivor_slot.shape[0], dtype=INDEX_DTYPE)
+    data = np.empty(survivor_slot.shape[0], dtype=matrix.data.dtype)
+    indices[survivor_slot] = matrix.indices[keep]
+    data[survivor_slot] = survivors
+    indices[fresh_at] = fresh_cols
+    data[fresh_at] = summed[~collide]
+    new_csr = CSRMatrix._from_validated(ptr, indices, data, (m, n))
 
     effect = DeltaEffect(
         shape=(m, n),
-        added_rows=(fresh_keys // span).astype(INDEX_DTYPE),
-        added_cols=(fresh_keys % span).astype(INDEX_DTYPE),
-        removed_rows=(del_keys // span).astype(INDEX_DTYPE),
+        added_rows=fresh_rows,
+        added_cols=fresh_cols,
+        removed_rows=removed_rows,
         removed_cols=(del_keys % span).astype(INDEX_DTYPE),
         updated_rows=(uniq_ins[collide] // span).astype(INDEX_DTYPE),
         updated_cols=(uniq_ins[collide] % span).astype(INDEX_DTYPE),
@@ -340,24 +384,20 @@ def _patch_dia(
     if rows.size:
         diag_of = cols.astype(np.int64) - rows.astype(np.int64)
         diag_slot = np.searchsorted(operand.offsets, diag_of)
-        # Final value at each touched coordinate: look it up in the new
-        # CSR (0 when the entry vanished).  Removed coordinates may not
-        # exist any more, so the lookup masks on an exact key match.
+        # Final value at each touched coordinate: look it up among the
+        # new CSR's entries of the touched rows (0 when the entry
+        # vanished).  Removed coordinates may not exist any more, so the
+        # lookup masks on an exact key match.
         span = np.int64(new_csr.n_cols)
-        row_of = np.repeat(
-            np.arange(new_csr.n_rows, dtype=INDEX_DTYPE),
-            new_csr.row_degrees(),
-        )
-        keys = row_of.astype(np.int64) * span + new_csr.indices.astype(
-            np.int64
-        )
+        slots, keys = _row_keys(new_csr, _distinct(rows))
         want = rows.astype(np.int64) * span + cols.astype(np.int64)
-        pos = np.searchsorted(keys, want)
+        pos = np.minimum(
+            np.searchsorted(keys, want), max(keys.shape[0] - 1, 0)
+        )
         values = np.zeros(want.shape[0], dtype=new_csr.dtype)
-        in_range = pos < keys.shape[0]
-        hit = np.zeros(want.shape[0], dtype=bool)
-        hit[in_range] = keys[pos[in_range]] == want[in_range]
-        values[hit] = new_csr.data[pos[hit]]
+        if keys.size:
+            hit = keys[pos] == want
+            values[hit] = new_csr.data[slots[pos[hit]]]
         data[diag_slot, rows] = values
     return DIAMatrix._from_validated(
         operand.offsets.copy(), data, new_csr.shape

@@ -363,7 +363,7 @@ def replay(
     which is how real callers use a shared service.  A width-1 burst goes
     through ``submit``, a wider one through ``submit_batch``; a delta goes
     through ``apply_structure_delta`` with the run's one
-    :class:`DeltaFeatures`, so post-delta re-decisions stay O(delta).
+    :class:`DeltaFeatures`, so post-delta re-decisions never re-extract.
     With ``verify`` every product is checked against the reference CSR
     kernel of its burst's matrix.
     """

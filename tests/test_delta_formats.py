@@ -17,6 +17,8 @@ the comparison.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,161 @@ def test_patched_operands_match_reconversion(seed: int) -> None:
         result = patch_operand(operand, new_csr, effect)
         assert result.mode in ("patched", "rebuilt")
         assert_bitwise_equal(result.matrix, rebuilt)
+
+
+#: Cases in the splice-against-oracle sweep.
+ORACLE_CASES = 1_200
+
+#: Situations the oracle sweep must reach at least once each.
+ORACLE_SITUATIONS = (
+    "empty",
+    "row_vector",
+    "column_vector",
+    "rectangular",
+    "duplicate_insert",
+    "survivor_collision",
+    "delete_insert",
+    "row_emptied",
+    "row_filled",
+    "first_row",
+    "last_row",
+)
+
+
+def _oracle_case(
+    rng: np.random.Generator, index: int
+) -> Tuple[CSRMatrix, StructureDelta]:
+    """A small seeded base matrix and a delta against it.
+
+    Shapes cycle through empty, 1 x n, m x 1, rectangular and square.
+    Inserts come from a small coordinate pool, so they repeat, land on
+    survivors, and re-insert deleted coordinates.  Deletes sometimes
+    take whole rows.  Values are multiples of 1/8, so every sum is exact.
+    """
+    kind = index % 5
+    m, n = (int(v) for v in rng.integers(1, 9, size=2))
+    if kind == 1:
+        m = 1
+    elif kind == 2:
+        n = 1
+    elif kind == 3 and m == n:
+        n = m + 1
+    density = 0.0 if kind == 0 else float(rng.random())
+    values = rng.choice([-2.0, -1.25, -0.5, 0.25, 1.0, 1.75], size=(m, n))
+    base = CSRMatrix.from_dense(
+        np.where(rng.random((m, n)) < density, values, 0.0)
+    )
+
+    row_of = np.repeat(np.arange(m, dtype=INDEX_DTYPE), base.row_degrees())
+    chosen = rng.random(base.nnz) < rng.random()
+    if base.nnz and rng.random() < 0.3:
+        chosen |= row_of == row_of[int(rng.integers(0, base.nnz))]
+    del_rows, del_cols = row_of[chosen], base.indices[chosen]
+
+    pool = int(rng.integers(1, 2 * m * n + 1))
+    pool_rows = rng.integers(0, m, size=pool)
+    pool_cols = rng.integers(0, n, size=pool)
+    if del_rows.size:
+        pool_rows = np.concatenate([pool_rows, del_rows])
+        pool_cols = np.concatenate([pool_cols, del_cols])
+    picks = rng.integers(0, pool_rows.shape[0], size=int(rng.integers(0, 12)))
+    return base, StructureDelta(
+        insert_rows=pool_rows[picks].astype(INDEX_DTYPE),
+        insert_cols=pool_cols[picks].astype(INDEX_DTYPE),
+        insert_vals=rng.integers(-16, 17, size=picks.shape[0]) / 8.0,
+        delete_rows=del_rows.astype(INDEX_DTYPE),
+        delete_cols=del_cols.astype(INDEX_DTYPE),
+    )
+
+
+def _splice_oracle(csr: CSRMatrix, delta: StructureDelta):
+    """``apply_delta``'s contract rebuilt from a dict of coordinates.
+
+    Returns the expected matrix plus the added, removed and updated
+    coordinate sets of DESIGN.md's delta table.
+    """
+    entries = {}
+    row_of = np.repeat(np.arange(csr.n_rows), csr.row_degrees())
+    for r, c, v in zip(row_of.tolist(), csr.indices.tolist(), csr.data.tolist()):
+        entries[(r, c)] = v
+    removed = set(zip(delta.delete_rows.tolist(), delta.delete_cols.tolist()))
+    for coord in removed:
+        del entries[coord]
+    survivors = set(entries)
+    sums = {}
+    for r, c, v in zip(
+        delta.insert_rows.tolist(),
+        delta.insert_cols.tolist(),
+        delta.insert_vals.tolist(),
+    ):
+        sums[(r, c)] = sums.get((r, c), 0.0) + v
+    for coord, total in sums.items():
+        entries[coord] = entries[coord] + total if coord in survivors else total
+    coords = sorted(entries)
+    expected = CSRMatrix.from_triplets(
+        np.array([r for r, _ in coords], dtype=INDEX_DTYPE),
+        np.array([c for _, c in coords], dtype=INDEX_DTYPE),
+        np.array([entries[k] for k in coords], dtype=np.float64),
+        csr.shape,
+    )
+    inserted = set(sums)
+    return expected, inserted - survivors, removed, inserted & survivors
+
+
+def _coords(rows: np.ndarray, cols: np.ndarray) -> list:
+    assert rows.dtype == INDEX_DTYPE and cols.dtype == INDEX_DTYPE
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def _situations(base, delta, new_csr, effect) -> set:
+    m, n = base.shape
+    old_deg, new_deg = base.row_degrees(), new_csr.row_degrees()
+    inserts = _coords(delta.insert_rows, delta.insert_cols)
+    touched = set(delta.insert_rows.tolist()) | set(delta.delete_rows.tolist())
+    flags = {
+        "empty": base.nnz == 0,
+        "row_vector": m == 1,
+        "column_vector": n == 1,
+        "rectangular": m != n and min(m, n) > 1,
+        "duplicate_insert": len(inserts) > len(set(inserts)),
+        "survivor_collision": effect.updated_rows.size > 0,
+        "delete_insert": bool(
+            set(_coords(effect.added_rows, effect.added_cols))
+            & set(_coords(effect.removed_rows, effect.removed_cols))
+        ),
+        "row_emptied": bool(np.any((old_deg > 0) & (new_deg == 0))),
+        "row_filled": bool(np.any((old_deg == 0) & (new_deg > 0))),
+        "first_row": 0 in touched,
+        "last_row": m > 1 and m - 1 in touched,
+    }
+    return {name for name, hit in flags.items() if hit}
+
+
+def test_splice_matches_coordinate_oracle() -> None:
+    """``apply_delta`` against an independent dict-of-coordinates model:
+    the same CSR arrays bit for bit, and the effect's three buckets equal
+    the model's set differences, each in row-major order."""
+    rng = np.random.default_rng(23_000)
+    reached = dict.fromkeys(ORACLE_SITUATIONS, 0)
+    for index in range(ORACLE_CASES):
+        base, delta = _oracle_case(rng, index)
+        new_csr, effect = apply_delta(base, delta)
+        expected, added, removed, updated = _splice_oracle(base, delta)
+
+        assert new_csr.shape == expected.shape, index
+        for attr in ("ptr", "indices", "data"):
+            got, want = getattr(new_csr, attr), getattr(expected, attr)
+            assert got.dtype == want.dtype, (index, attr)
+            assert got.tobytes() == want.tobytes(), (index, attr)
+        for bucket, rows, cols in (
+            (added, effect.added_rows, effect.added_cols),
+            (removed, effect.removed_rows, effect.removed_cols),
+            (updated, effect.updated_rows, effect.updated_cols),
+        ):
+            assert _coords(rows, cols) == sorted(bucket), index
+        for name in _situations(base, delta, new_csr, effect):
+            reached[name] += 1
+    assert all(reached.values()), reached
 
 
 class TestDeltaValidation:
