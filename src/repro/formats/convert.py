@@ -62,11 +62,22 @@ class ConversionCost:
 
 
 def csr_to_coo(matrix: CSRMatrix) -> Tuple[COOMatrix, ConversionCost]:
-    """Expand the row pointer into explicit row indices."""
+    """Expand the row pointer into explicit row indices.
+
+    A frozen CSR's ``indices`` and ``data`` can never change, so its COO
+    shares them; a writeable CSR's are copied and validated.
+    """
     rows = np.repeat(
         np.arange(matrix.n_rows, dtype=INDEX_DTYPE), matrix.row_degrees()
     )
-    coo = COOMatrix(rows, matrix.indices.copy(), matrix.data.copy(), matrix.shape)
+    if matrix.is_frozen:
+        coo = COOMatrix._from_validated(
+            rows, matrix.indices, matrix.data, matrix.shape
+        )
+    else:
+        coo = COOMatrix(
+            rows, matrix.indices.copy(), matrix.data.copy(), matrix.shape
+        )
     cost = ConversionCost(
         FormatName.CSR, FormatName.COO, matrix.nnz, touched_slots=3 * matrix.nnz
     )

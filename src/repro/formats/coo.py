@@ -62,6 +62,26 @@ class COOMatrix(SparseMatrix):
             dense.shape,
         )
 
+    @classmethod
+    def _from_validated(
+        cls,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        data: np.ndarray,
+        shape: Tuple[int, int],
+    ) -> "COOMatrix":
+        """Internal: adopt row-major sorted, in-range arrays unchecked.
+
+        ``csr_to_coo`` uses this for a frozen CSR source, whose arrays
+        are canonical and can never change, so the COO shares them.
+        """
+        out = cls.__new__(cls)
+        SparseMatrix.__init__(out, shape, data.dtype)
+        out.rows = rows
+        out.cols = cols
+        out.data = data
+        return out
+
     def _refresh_values(self, csr) -> "COOMatrix":
         # CSR stores entries in exactly the row-major order the COO
         # converter produced, so the new data array maps over verbatim.

@@ -13,6 +13,7 @@ import numpy as np
 from repro.errors import FormatError
 from repro.formats.base import SparseMatrix, register_format
 from repro.types import INDEX_DTYPE, FormatName
+from repro.util.arrays import distinct
 from repro.util.validation import (
     check_1d,
     check_index_range,
@@ -28,7 +29,17 @@ class CSRMatrix(SparseMatrix):
     The constructor canonicalises its input: column indices are sorted within
     each row and duplicate entries are summed, because the optimized kernels
     and the CSR->DIA/ELL converters rely on sorted, duplicate-free rows.
+
+    A *frozen* matrix (:meth:`frozen`, :attr:`is_frozen`) holds its three
+    arrays in immutable ``bytes``, so its content can never change; the
+    serving layer's fingerprint is computed once for such a matrix and
+    kept on it.
     """
+
+    #: ``(ptr, indices, data, key)``: the content key
+    #: :func:`repro.serve.fingerprint.fingerprint` computed over these
+    #: very array objects, kept only while the matrix is frozen.
+    _fingerprint_memo = None
 
     def __init__(
         self,
@@ -113,9 +124,10 @@ class CSRMatrix(SparseMatrix):
     ) -> "CSRMatrix":
         """Internal: adopt already-canonical structure arrays unchecked.
 
-        Only the value-refresh path uses this — the structure arrays come
-        straight out of an existing validated instance, so re-running the
-        constructor's canonicalisation would be pure overhead.
+        The value refresh, the delta splice and :meth:`frozen` use this —
+        their arrays come out of an existing validated instance, so
+        re-running the constructor's canonicalisation would be pure
+        overhead.
         """
         out = cls.__new__(cls)
         SparseMatrix.__init__(out, shape, data.dtype)
@@ -123,6 +135,38 @@ class CSRMatrix(SparseMatrix):
         out.indices = indices
         out.data = data
         return out
+
+    # ------------------------------------------------------------------
+    # Immutability
+    # ------------------------------------------------------------------
+    def frozen(self) -> "CSRMatrix":
+        """This matrix with its arrays copied into immutable ``bytes``.
+
+        Every write to the result's arrays raises, and so does setting
+        their ``writeable`` flag back.  A frozen matrix is returned as is.
+        """
+        if self.is_frozen:
+            return self
+        return CSRMatrix._from_validated(
+            _freeze(self.ptr), _freeze(self.indices), _freeze(self.data),
+            self.shape,
+        )
+
+    @property
+    def is_frozen(self) -> bool:
+        """True when no array of this matrix can ever be written.
+
+        Each array must be read-only all the way down its base chain to a
+        ``bytes`` object.  A read-only array that owns its memory is not
+        frozen (its ``writeable`` flag can be set back), nor is a
+        read-only view of a writeable array, nor an array over a
+        ``bytearray`` or any other writeable buffer.
+        """
+        return (
+            _immutable(self.ptr)
+            and _immutable(self.indices)
+            and _immutable(self.data)
+        )
 
     def _refresh_values(self, csr: "CSRMatrix") -> "CSRMatrix":
         if csr.nnz != self.nnz:
@@ -210,7 +254,22 @@ class CSRMatrix(SparseMatrix):
         row_of = np.repeat(
             np.arange(self.n_rows, dtype=INDEX_DTYPE), self.row_degrees()
         )
-        return np.unique(self.indices - row_of)
+        return distinct(self.indices - row_of)
+
+
+def _freeze(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``array`` over an immutable ``bytes`` buffer."""
+    return np.frombuffer(array.tobytes(), array.dtype)
+
+
+def _immutable(array: np.ndarray) -> bool:
+    """True when ``array`` and every array below it are read-only and
+    the chain ends at a ``bytes`` object."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return type(array) is bytes
 
 
 def _canonicalise(

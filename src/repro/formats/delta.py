@@ -37,6 +37,7 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.dia import DIAMatrix
 from repro.formats.ell import ELLMatrix
 from repro.types import INDEX_DTYPE, FormatName
+from repro.util.arrays import distinct
 from repro.util.events import EventCounter
 
 #: Ticks once per in-place operand patch (rebuild fallbacks do not count;
@@ -128,7 +129,7 @@ class DeltaEffect:
 
     def touched_rows(self) -> np.ndarray:
         """Sorted distinct rows whose stored content changed in any way."""
-        return np.unique(
+        return distinct(
             np.concatenate(
                 [self.added_rows, self.removed_rows, self.updated_rows]
             )
@@ -176,15 +177,6 @@ def apply_delta(
                             del_rows, del_cols)
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values: ``np.unique`` by one sort and one compare
-    (NumPy 2's hash-based ``np.unique`` is several times slower here)."""
-    values = np.sort(values)
-    first = np.ones(values.shape[0], dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    return values[first]
-
-
 def _row_keys(
     csr: CSRMatrix, rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -205,11 +197,11 @@ def _apply_delta(matrix, ins_rows, ins_cols, ins_vals, del_rows, del_cols):
     m, n = matrix.shape
     span = np.int64(n)
     slots, keys = _row_keys(
-        matrix, _distinct(np.concatenate([ins_rows, del_rows]))
+        matrix, distinct(np.concatenate([ins_rows, del_rows]))
     )
 
     # -- deletions: binary-search each (deduplicated) coordinate ----------
-    del_keys = _distinct(del_rows.astype(np.int64) * span + del_cols)
+    del_keys = distinct(del_rows.astype(np.int64) * span + del_cols)
     pos = np.searchsorted(keys, del_keys)
     valid = (pos < keys.shape[0]) & (keys[np.minimum(
         pos, max(keys.shape[0] - 1, 0)
@@ -313,9 +305,10 @@ def patch_operand(
         PATCH_EVENTS.increment()
         return PatchResult(new_csr, "patched")
     if fmt is FormatName.COO:
-        # The expansion is one repeat + two copies — already O(nnz) with
-        # a constant far below any reconversion, so "patching" COO is
-        # simply re-expanding the spliced CSR arrays.
+        # The expansion is one repeat (plus two copies unless the new
+        # CSR is frozen, whose arrays the COO shares) — already O(nnz)
+        # with a constant far below any reconversion, so "patching" COO
+        # is simply re-expanding the spliced CSR arrays.
         PATCH_EVENTS.increment()
         coo, _ = csr_to_coo(new_csr)
         return PatchResult(coo, "patched")
@@ -389,7 +382,7 @@ def _patch_dia(
         # vanished).  Removed coordinates may not exist any more, so the
         # lookup masks on an exact key match.
         span = np.int64(new_csr.n_cols)
-        slots, keys = _row_keys(new_csr, _distinct(rows))
+        slots, keys = _row_keys(new_csr, distinct(rows))
         want = rows.astype(np.int64) * span + cols.astype(np.int64)
         pos = np.minimum(
             np.searchsorted(keys, want), max(keys.shape[0] - 1, 0)

@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import FormatError
 from repro.formats.base import SparseMatrix, register_format
 from repro.types import INDEX_DTYPE, FormatName
+from repro.util.arrays import distinct
 from repro.util.validation import check_1d
 
 
@@ -89,7 +90,7 @@ class DIAMatrix(SparseMatrix):
             raise FormatError(f"dense matrix must be 2-D, got {dense.ndim}-D")
         n_rows, n_cols = dense.shape
         rows, cols = np.nonzero(dense)
-        offsets = np.unique(cols - rows)
+        offsets = distinct(cols - rows)
         data = np.zeros((offsets.shape[0], n_rows), dtype=dense.dtype)
         for i, k in enumerate(offsets):
             r_start = max(0, -int(k))

@@ -46,6 +46,7 @@ import numpy as np
 from repro.errors import CodegenError
 from repro.formats.base import SparseMatrix
 from repro.types import FormatName
+from repro.util.arrays import distinct
 
 #: Unroll ceilings.  Beyond these the generated source would grow without
 #: bound (one line per diagonal / packed slot / degree bucket) and the
@@ -264,24 +265,24 @@ def _emit_csr(matrix: SparseMatrix) -> GeneratedSource:
     ``MAX_DEGREE_BUCKETS`` and keep the generic kernel.
     """
     degrees = np.diff(matrix.ptr)
-    distinct = np.unique(degrees)
-    distinct = distinct[distinct > 0]
-    if distinct.shape[0] > MAX_DEGREE_BUCKETS:
+    buckets = distinct(degrees)
+    buckets = buckets[buckets > 0]
+    if buckets.shape[0] > MAX_DEGREE_BUCKETS:
         raise CodegenError(
-            f"CSR matrix has {distinct.shape[0]} distinct row degrees; "
+            f"CSR matrix has {buckets.shape[0]} distinct row degrees; "
             f"bucket ceiling is {MAX_DEGREE_BUCKETS}"
         )
     aux_items: List[object] = []
     lines = [
         "def spmv(matrix, x, aux):",
-        f"    # codegen: CSR, {distinct.shape[0]} degree buckets "
-        f"{[int(d) for d in distinct]}, "
+        f"    # codegen: CSR, {buckets.shape[0]} degree buckets "
+        f"{[int(d) for d in buckets]}, "
         f"shape ({matrix.n_rows}, {matrix.n_cols})",
         "    data = matrix.data",
         "    indices = matrix.indices",
         f"    y = np.zeros({matrix.n_rows}, dtype=data.dtype)",
     ]
-    for b, d in enumerate(int(v) for v in distinct):
+    for b, d in enumerate(int(v) for v in buckets):
         rows = np.nonzero(degrees == d)[0].astype(np.int64)
         positions = (
             matrix.ptr[rows].astype(np.int64)[:, None]

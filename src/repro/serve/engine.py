@@ -336,7 +336,8 @@ class DeltaOutcome:
 
     ``matrix`` is the post-delta CSR matrix the caller must submit from
     now on (the pre-delta object — and its fingerprint — is dead: its
-    plan has been invalidated and can never be hit again).  ``policy``
+    plan has been invalidated and can never be hit again).  It is
+    frozen: any write to its arrays raises.  ``policy``
     records how the plan migrated: ``"patch"`` (operand edited in
     place), ``"refresh"`` (same format, operand rebuilt without
     re-tuning) or ``"retune"`` (full decision).
@@ -453,6 +454,21 @@ class _Resolution:
     seconds: float
     #: Plan came from a tier-2 structure hit (values refreshed, no tune).
     refreshed: bool = False
+
+
+def _own_operand(plan: Plan, matrix: CSRMatrix) -> Plan:
+    """``plan``, run on ``matrix`` itself when the plan is CSR.
+
+    Conversion to CSR is the identity, so a CSR plan's operand is the
+    matrix its first caller submitted, and that caller may edit it in
+    place after the plan was cached under its old key.  A CSR plan
+    therefore runs on the matrix of the request it serves, whose arrays
+    hashed to the key the plan was found under.  Other formats own their
+    converted arrays.
+    """
+    if plan.format_name is FormatName.CSR and plan.matrix is not matrix:
+        return plan.refreshed(matrix)
+    return plan
 
 
 class _SubmissionQueue:
@@ -907,7 +923,13 @@ class ServingEngine:
         return [f.result() for f in futures]
 
     def invalidate(self, matrix: CSRMatrix) -> bool:
-        """Drop the cached plan for ``matrix`` (call after mutating it)."""
+        """Drop the cached plan for ``matrix``'s current content.
+
+        An in-place edit needs no call: the edited matrix hashes to a new
+        key, which never reaches the old plan, and for the same reason a
+        call made after the edit does not drop it.  Use this for
+        staleness the key cannot see, such as a retrained model.
+        """
         invalidated = self.cache.invalidate(_fingerprint(matrix))
         if invalidated:
             self.metrics.counter("plans_invalidated").inc()
@@ -943,13 +965,20 @@ class ServingEngine:
           a failed patch → the full Figure 7 decision runs.
 
         Returns the post-delta matrix (the caller must submit with it
-        from now on) plus what happened.  ``features``, when given, is
-        advanced in place so the caller's maintenance stays attached.
+        from now on) plus what happened.  That matrix is frozen
+        (:meth:`CSRMatrix.frozen`): its arrays are read-only, so its
+        fingerprint is computed once, here; edit a copy.  ``features``,
+        when given, is advanced in place so the caller's maintenance
+        stays attached.
         """
         started = time.perf_counter()
         old_key = _fingerprint(matrix)
         with obs.span("serve.delta", fingerprint=str(old_key)):
             new_csr, effect = apply_delta(matrix, delta)
+            # Frozen, the new structure is hashed once here: its reads
+            # and the next delta's retirement of this key reuse it, and a
+            # COO plan shares its arrays.
+            new_csr = new_csr.frozen()
             if features is not None:
                 features.apply(effect)
             new_key = _fingerprint(new_csr)
@@ -1457,7 +1486,9 @@ class ServingEngine:
         started = time.perf_counter()
         plan = self.cache.get(key)
         if plan is not None:
-            return _Resolution(plan, True, time.perf_counter() - started)
+            return _Resolution(
+                _own_operand(plan, matrix), True, time.perf_counter() - started
+            )
 
         breaker = self._breaker_for(key)
         ticket = breaker.acquire()
@@ -1487,7 +1518,9 @@ class ServingEngine:
                     if breaker.record_success():
                         self.metrics.counter("breaker_recovered").inc()
                     return _Resolution(
-                        plan, True, time.perf_counter() - started
+                        _own_operand(plan, matrix),
+                        True,
+                        time.perf_counter() - started,
                     )
                 if structure is not None:
                     donor = self.cache.get_by_structure(structure)
@@ -1549,10 +1582,11 @@ class ServingEngine:
         ``matrix``; its decision (format, kernel, rule, overhead ledger)
         carries over verbatim and only the converted matrix's value
         arrays are rebuilt — no feature extraction, no rule walk, no
-        conversion.  The refreshed plan is promoted into tier 1 under the
-        new value fingerprint.  Returns None when the refresh fails for
-        any reason: the caller then runs a full build, so a bad donor
-        costs time, never correctness.
+        conversion.  A CSR donor is bound to ``matrix`` itself, with no
+        copy (see :func:`_own_operand`).  The refreshed plan is promoted
+        into tier 1 under the new value fingerprint.  Returns None when
+        the refresh fails for any reason: the caller then runs a full
+        build, so a bad donor costs time, never correctness.
         """
         refresh_started = time.perf_counter()
         try:
@@ -1564,7 +1598,12 @@ class ServingEngine:
             ):
                 if self.faults is not None:
                     self.faults.on_call("refresh")
-                plan = donor.refreshed(donor.matrix.refresh_values(matrix))
+                if donor.format_name is FormatName.CSR:
+                    plan = donor.refreshed(matrix)
+                else:
+                    plan = donor.refreshed(
+                        donor.matrix.refresh_values(matrix)
+                    )
         except Exception:
             self.metrics.counter("plan_refresh_failures").inc()
             return None

@@ -287,7 +287,9 @@ def evolving_graph_ops(
     current nnz.  Each post-delta structure is spliced here, ahead of
     the replay, so every burst carries the matrix its products are
     checked against — a stale-plan hit after a delta shows up as a
-    mismatch, not silence.
+    mismatch, not silence.  The base graph and every spliced structure
+    are frozen (:meth:`CSRMatrix.frozen`), as the engine's own
+    post-delta matrices are, so the engine hashes each one once.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -302,7 +304,7 @@ def evolving_graph_ops(
     rng = np.random.default_rng(seed)
     matrix = graphs.power_law_graph(
         nodes, exponent=2.2, seed=int(rng.integers(0, 2**31 - 1))
-    )
+    ).frozen()
     ops: List[Op] = []
     for step in range(steps):
         for _ in range(serves_per_step):
@@ -315,7 +317,7 @@ def evolving_graph_ops(
             matrix, rng, inserts=churn - churn // 2, deletes=churn // 2
         )
         ops.append(Delta(matrix, delta))
-        matrix, _ = apply_delta(matrix, delta)
+        matrix = apply_delta(matrix, delta)[0].frozen()
     return [ops]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,23 @@ def random_csr(
         0.0,
     ).astype(dtype)
     return CSRMatrix.from_dense(dense)
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """A one-item list counting SHA-256 passes: calls of the fingerprint
+    module's hash helper (``repro.serve.fingerprint`` as an attribute
+    names the function, so the module is imported by name)."""
+    module = importlib.import_module("repro.serve.fingerprint")
+    helper = module._structure_hash
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return helper(*args)
+
+    monkeypatch.setattr(module, "_structure_hash", counting)
+    return calls
 
 
 class DecideOnlyTuner:

@@ -7,6 +7,11 @@ import pytest
 
 from repro.errors import FormatError
 from repro.formats import CSRMatrix
+from repro.formats.convert import csr_to_coo
+from repro.types import INDEX_DTYPE
+from repro.util.arrays import distinct
+
+ARRAYS = ("ptr", "indices", "data")
 
 
 class TestConstruction:
@@ -119,6 +124,20 @@ class TestStructureQueries:
     def test_diagonal_offsets(self, paper_csr: CSRMatrix) -> None:
         # Figure 2c: offsets are [-2, 0, 1].
         assert paper_csr.diagonal_offsets().tolist() == [-2, 0, 1]
+        identity = CSRMatrix.from_dense(np.eye(3))
+        assert identity.diagonal_offsets().tolist() == [0]
+        # The shared dedupe helper is np.unique, values and dtype, down
+        # to the empty and the single-value array.
+        for values in (
+            np.zeros(0, dtype=INDEX_DTYPE),
+            np.array([7], dtype=INDEX_DTYPE),
+            np.array([7, 7, 7], dtype=INDEX_DTYPE),
+            np.array([3, -2, 3, 0, -2], dtype=np.int64),
+        ):
+            expected = np.unique(values)
+            got = distinct(values)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
     def test_memory_bytes_counts_all_arrays(self, paper_csr: CSRMatrix) -> None:
         expected = (
@@ -174,3 +193,94 @@ class TestReferenceOracles:
         assert np.array_equal(
             empty.to_dense(), empty.to_dense(reference=True)
         )
+
+
+def _with_array(matrix: CSRMatrix, name: str, array: np.ndarray) -> CSRMatrix:
+    """``matrix`` with its ``name`` array swapped for ``array``."""
+    arrays = {key: getattr(matrix, key) for key in ARRAYS}
+    arrays[name] = array
+    return CSRMatrix._from_validated(
+        arrays["ptr"], arrays["indices"], arrays["data"], matrix.shape
+    )
+
+
+def _read_only_owner(array: np.ndarray) -> np.ndarray:
+    out = array.copy()
+    out.flags.writeable = False
+    return out
+
+
+def _read_only_view(array: np.ndarray) -> np.ndarray:
+    out = array.copy()[:]
+    out.flags.writeable = False
+    return out
+
+
+def _over_bytearray(array: np.ndarray) -> np.ndarray:
+    out = np.frombuffer(bytearray(array.tobytes()), array.dtype)
+    out.flags.writeable = False
+    return out
+
+
+class TestFrozen:
+    def test_frozen_copy_is_bitwise_equal(self, paper_csr: CSRMatrix) -> None:
+        frozen = paper_csr.frozen()
+        assert frozen is not paper_csr
+        assert frozen.is_frozen and not paper_csr.is_frozen
+        assert frozen.shape == paper_csr.shape
+        assert frozen.dtype == paper_csr.dtype
+        for name in ARRAYS:
+            source, copy = getattr(paper_csr, name), getattr(frozen, name)
+            assert copy.dtype == source.dtype
+            assert copy.tobytes() == source.tobytes()
+            assert not np.shares_memory(copy, source)
+
+    def test_frozen_matrix_is_returned_as_is(self, paper_csr) -> None:
+        frozen = paper_csr.frozen()
+        assert frozen.frozen() is frozen
+
+    def test_empty_matrix_freezes(self) -> None:
+        frozen = CSRMatrix.from_dense(np.zeros((3, 4))).frozen()
+        assert frozen.is_frozen and frozen.nnz == 0
+        assert np.array_equal(frozen.spmv(np.ones(4)), np.zeros(3))
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_every_write_raises(self, paper_csr, name) -> None:
+        array = getattr(paper_csr.frozen(), name)
+        view = array[1:]
+        with pytest.raises(ValueError):
+            array[0] = 1
+        with pytest.raises(ValueError):
+            view[0] = 1
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+        with pytest.raises(ValueError):
+            view.flags.writeable = True
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    @pytest.mark.parametrize(
+        "make", [_read_only_owner, _read_only_view, _over_bytearray]
+    )
+    def test_arrays_that_can_change_are_not_frozen(
+        self, paper_csr, name, make
+    ) -> None:
+        frozen = paper_csr.frozen()
+        array = make(getattr(paper_csr, name))
+        assert not array.flags.writeable
+        assert not _with_array(frozen, name, array).is_frozen
+        # A frozen array's view keeps the matrix frozen.
+        assert _with_array(frozen, name, getattr(frozen, name)[:]).is_frozen
+
+    def test_coo_of_frozen_csr_shares_its_arrays(self, paper_csr) -> None:
+        frozen = paper_csr.frozen()
+        shared, _ = csr_to_coo(frozen)
+        copied, _ = csr_to_coo(paper_csr)
+        assert np.shares_memory(shared.cols, frozen.indices)
+        assert np.shares_memory(shared.data, frozen.data)
+        assert not np.shares_memory(copied.cols, paper_csr.indices)
+        assert not np.shares_memory(copied.data, paper_csr.data)
+        assert shared.shape == copied.shape
+        for name in ("rows", "cols", "data"):
+            a, b = getattr(shared, name), getattr(copied, name)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)

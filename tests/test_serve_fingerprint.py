@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.collection import banded
 from repro.formats import CSRMatrix
@@ -123,3 +126,56 @@ class TestHashing:
             tracemalloc.stop()
         # A copy of any one array would cost matrix.data.nbytes (2 MB).
         assert peak < matrix.data.nbytes // 20
+
+
+class TestFrozenMemo:
+    def test_frozen_copy_keeps_both_keys(self, rng) -> None:
+        matrix = random_csr(rng)
+        frozen = matrix.frozen()
+        assert fingerprint(frozen) == fingerprint(matrix)
+        assert structural_digest(frozen) == structural_digest(matrix)
+
+    def test_frozen_matrix_is_hashed_once(self, rng, hash_calls) -> None:
+        frozen = random_csr(rng).frozen()
+        keys = {fingerprint(frozen) for _ in range(20)}
+        assert len(keys) == 1
+        assert hash_calls[0] == 1
+
+    def test_writeable_matrix_is_hashed_every_call(
+        self, rng, hash_calls
+    ) -> None:
+        matrix = random_csr(rng)
+        for _ in range(5):
+            fingerprint(matrix)
+        assert hash_calls[0] == 5
+
+    def test_reassigned_array_is_rehashed(self, rng, hash_calls) -> None:
+        frozen = random_csr(rng).frozen()
+        before = fingerprint(frozen)
+        doubled = CSRMatrix(
+            frozen.ptr, frozen.indices, frozen.data * 2.0, frozen.shape
+        ).frozen()
+        frozen.data = doubled.data
+        assert frozen.is_frozen
+        after = fingerprint(frozen)
+        assert after != before
+        assert after == fingerprint(doubled)
+        assert fingerprint(frozen) == after
+        assert hash_calls[0] == 3
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_edited_clone_gets_a_new_key(self, rng, clone) -> None:
+        frozen = random_csr(rng).frozen()
+        key = fingerprint(frozen)
+        twin = clone(frozen)
+        # The clone carries the memo along, over writeable arrays.
+        assert twin._fingerprint_memo is not None
+        assert not twin.is_frozen
+        assert fingerprint(twin) == key
+        twin.data[0] += 1.0
+        assert fingerprint(twin) != key
+        assert fingerprint(frozen) == key

@@ -1,5 +1,6 @@
-"""Serving under structure churn: plan migration policies and the
-fingerprint re-mint guarantee.
+"""Serving under structure churn: plan migration policies, the
+fingerprint re-mint guarantee, frozen post-delta matrices hashed once,
+and CSR plans that run on their own request's matrix.
 
 The contract under test: a structure delta retires the pre-delta
 fingerprint unconditionally — a mutated matrix can *never* hit its stale
@@ -20,6 +21,7 @@ from repro.collection.banded import banded_matrix
 from repro.features.incremental import DeltaFeatures
 from repro.formats.csr import CSRMatrix
 from repro.formats.delta import StructureDelta, apply_delta
+from repro.kernels import kernels_for
 from repro.machine import INTEL_XEON_X5680, SimulatedBackend
 from repro.serve import (
     ServeConfig,
@@ -30,9 +32,11 @@ from repro.serve import (
 )
 from repro.serve.engine import DELTA_PATCH_MAX_RATIO
 from repro.tuner import SMAT
-from repro.types import INDEX_DTYPE, Precision
+from repro.tuner.runtime import Decision
+from repro.types import INDEX_DTYPE, FormatName, Precision
 
-from tests.conftest import random_csr
+from tests.conftest import DecideOnlyTuner, random_csr
+from tests.test_properties_differential import with_dyadic_data
 
 
 @pytest.fixture(scope="module")
@@ -203,12 +207,105 @@ class TestFingerprintRemint:
         assert not np.allclose(stale.y, expected, atol=1e-9)
 
 
+class TestFrozenDeltaMatrices:
+    def test_post_delta_matrix_is_hashed_once(
+        self, engine, rng, hash_calls
+    ) -> None:
+        matrix = banded_matrix(400, 5, seed=6)
+        x = rng.standard_normal(matrix.n_cols)
+        engine.spmv(matrix, x)
+        features = DeltaFeatures(matrix)
+        outcome = engine.apply_structure_delta(
+            matrix, _small_delta(matrix, rng), features=features
+        )
+        assert outcome.matrix.is_frozen
+        with pytest.raises(ValueError):
+            outcome.matrix.data[0] = 1.0
+
+        hash_calls[0] = 0
+        for _ in range(4):
+            served = engine.spmv(outcome.matrix, x)
+            assert np.allclose(
+                served.y, outcome.matrix.spmv(x, reference=True), atol=1e-9
+            )
+        assert hash_calls[0] == 0
+        # The next delta retires the memoized key and hashes only the
+        # matrix it mints.
+        after = engine.apply_structure_delta(
+            outcome.matrix, _small_delta(outcome.matrix, rng),
+            features=features,
+        )
+        assert after.old_fingerprint == outcome.fingerprint
+        assert hash_calls[0] == 1
+        served = engine.spmv(after.matrix, x)
+        assert hash_calls[0] == 1
+        assert np.allclose(
+            served.y, after.matrix.spmv(x, reference=True), atol=1e-9
+        )
+
+
+class CsrTuner(DecideOnlyTuner):
+    """Decides CSR for every matrix, so the plan's operand is the very
+    matrix of the request that built it."""
+
+    def decide(self, matrix, deadline=None):
+        return Decision(
+            format_name=FormatName.CSR,
+            kernel=kernels_for(FormatName.CSR)[-1],
+            confidence=1.0,
+            matched_rule=None,
+            used_fallback=False,
+            predicted_format=FormatName.CSR,
+            matrix=matrix,
+        )
+
+
+class TestCsrPlanRunsOnItsRequest:
+    """A cached CSR plan must not serve its first caller's arrays after
+    that caller edits them in place: its key still names the old
+    content, which another matrix may hold."""
+
+    @pytest.fixture()
+    def csr_engine(self):
+        with ServingEngine(CsrTuner(), ServeConfig(workers=1)) as running:
+            yield running
+
+    def test_tier1_hit_after_the_first_caller_edits_values(
+        self, csr_engine, rng
+    ) -> None:
+        matrix = with_dyadic_data(random_csr(rng, n_rows=60, n_cols=60), rng)
+        x = np.arange(1.0, 61.0)
+        csr_engine.spmv(matrix, x)
+        original = CSRMatrix(
+            matrix.ptr.copy(), matrix.indices.copy(), matrix.data.copy(),
+            matrix.shape,
+        )
+        matrix.data[:] = 2.0 * matrix.data + 1.0
+        served = csr_engine.spmv(original, x)
+        assert served.cache_hit
+        assert np.array_equal(served.y, original.spmv(x, reference=True))
+
+    def test_tier2_refresh_after_the_first_caller_moves_an_entry(
+        self, csr_engine
+    ) -> None:
+        matrix = CSRMatrix.from_dense(np.diag(np.arange(1.0, 41.0)))
+        x = np.arange(1.0, 41.0)
+        csr_engine.spmv(matrix, x)
+        ptr, indices = matrix.ptr.copy(), matrix.indices.copy()
+        matrix.indices[0] = 1  # row 0's only entry moves to column 1
+        fresh = CSRMatrix(ptr, indices, np.arange(2.0, 42.0), matrix.shape)
+        served = csr_engine.spmv(fresh, x)
+        assert served.refreshed
+        assert np.array_equal(served.y, fresh.spmv(x, reference=True))
+
+
 class TestStructureChurnReplay:
     def test_evolving_graph_serves_clean_through_churn(self, engine) -> None:
-        report = replay(
-            engine,
-            evolving_graph_ops(nodes=150, steps=5, serves_per_step=3, seed=11),
+        ops = evolving_graph_ops(
+            nodes=150, steps=5, serves_per_step=3, seed=11
         )
+        assert all(op.matrix.is_frozen for op in ops[0])
+        report = replay(engine, ops)
         assert report.errors == []
         assert report.mismatches == 0
         assert len(report.results) == 15
