@@ -232,19 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--out", type=Path, default=Path("BENCH_perf.json"),
                        help="output JSON report (default BENCH_perf.json)")
-    bench.add_argument("--suite", default=None,
-                       choices=["smoke", "quick", "full"],
-                       help="benchmark suite (default full)")
-    bench.add_argument("--quick", action="store_true",
-                       help="shorthand for --suite quick (the CI smoke run)")
+    bench.add_argument("--suite", default="quick",
+                       choices=["smoke", "quick"],
+                       help="benchmark suite (default quick, the CI run)")
     bench.add_argument("--repeats", type=int, default=3,
                        help="timed repeats per vectorized op (default 3)")
     bench.add_argument("--assert-speedup", type=float, default=None,
                        metavar="X",
                        help="exit 1 unless CSR->ELL and CSR->DIA conversion "
                             "beat the loop reference by at least Xx")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="THREAD-kernel worker count (default: cpu count)")
     bench.add_argument("--kernel-backend", default="codegen",
                        choices=["generic", "codegen"],
                        help="measure the codegen/ section (default codegen; "
@@ -793,15 +789,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_bench_perf(args: argparse.Namespace) -> int:
     from repro import perfbench
 
-    if args.quick and args.suite not in (None, "quick"):
-        print("error: --quick conflicts with --suite "
-              f"{args.suite}", file=sys.stderr)
-        return 1
-    suite = "quick" if args.quick else (args.suite or "full")
     report = perfbench.run_suite(
-        suite,
+        args.suite,
         repeats=args.repeats,
-        workers=args.workers,
         seed=args.seed,
         kernel_backend=args.kernel_backend,
     )

@@ -1,14 +1,13 @@
 """Sparse linear-algebra operations on CSR matrices.
 
 The AMG substrate needs more than SpMV: transposes for the restriction
-operator, sparse-times-sparse for the Galerkin product ``P^T A P``, and a
-few element-wise helpers.  Everything here is vectorized — these run on
-operators with 10^5+ rows inside the Table 4 bench.
+operator, sparse-times-sparse for the Galerkin product ``P^T A P``, and
+the diagonal for smoothing and interpolation.  Everything here is
+vectorized — these run on operators with 10^5+ rows inside the Table 4
+bench.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -75,11 +74,6 @@ def matmul(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     )
 
 
-def triple_product(p: CSRMatrix, a: CSRMatrix) -> CSRMatrix:
-    """The Galerkin coarse operator ``P^T A P``."""
-    return matmul(transpose(p), matmul(a, p))
-
-
 def diagonal(matrix: CSRMatrix) -> np.ndarray:
     """The main diagonal as a dense vector (zeros where unset)."""
     diag = np.zeros(min(matrix.shape), dtype=matrix.dtype)
@@ -91,44 +85,3 @@ def diagonal(matrix: CSRMatrix) -> np.ndarray:
     keep = diag_rows < diag.shape[0]
     diag[diag_rows[keep]] = matrix.data[mask][keep]
     return diag
-
-
-def scale_rows(matrix: CSRMatrix, factors: np.ndarray) -> CSRMatrix:
-    """``diag(factors) @ A`` — used by interpolation weight normalisation."""
-    factors = np.asarray(factors, dtype=matrix.dtype)
-    if factors.shape[0] != matrix.n_rows:
-        raise FormatError(
-            f"row scale needs {matrix.n_rows} factors, got {factors.shape[0]}"
-        )
-    data = matrix.data * np.repeat(factors, matrix.row_degrees())
-    return CSRMatrix(matrix.ptr.copy(), matrix.indices.copy(), data,
-                     matrix.shape)
-
-
-def extract_columns(
-    matrix: CSRMatrix, keep: np.ndarray
-) -> Tuple[CSRMatrix, np.ndarray]:
-    """Restrict to the columns flagged in boolean mask ``keep``.
-
-    Returns the restricted matrix (with columns renumbered densely) and the
-    old-index -> new-index map (-1 for dropped columns).  Used to build
-    tentative interpolation from the coarse-point selection.
-    """
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape[0] != matrix.n_cols:
-        raise FormatError(
-            f"column mask needs {matrix.n_cols} entries, got {keep.shape[0]}"
-        )
-    col_map = np.full(matrix.n_cols, -1, dtype=INDEX_DTYPE)
-    col_map[keep] = np.arange(int(keep.sum()), dtype=INDEX_DTYPE)
-
-    entry_keep = keep[matrix.indices]
-    rows = np.repeat(
-        np.arange(matrix.n_rows, dtype=INDEX_DTYPE), matrix.row_degrees()
-    )[entry_keep]
-    cols = col_map[matrix.indices[entry_keep]]
-    vals = matrix.data[entry_keep]
-    restricted = CSRMatrix.from_triplets(
-        rows, cols, vals, (matrix.n_rows, int(keep.sum()))
-    )
-    return restricted, col_map

@@ -13,7 +13,6 @@ from repro.kernels import coo_kernels  # noqa: F401
 from repro.kernels import csr_kernels  # noqa: F401
 from repro.kernels import dia_kernels  # noqa: F401
 from repro.kernels import ell_kernels  # noqa: F401
-from repro.kernels import parallel  # noqa: F401
 from repro.kernels import spmm  # noqa: F401
 from repro.kernels.backends import (
     DEFAULT_BACKEND,

@@ -13,7 +13,7 @@ stacking and k-wide gathers.  On a Zipf-hot pool of 8k-60k nnz
 matrices, DIA SpMM lost to k compiled DIA SpMVs on every plan at k <= 4
 and on most plans at k = 8 and 32, and CSR SpMM won only at k = 32.
 The serving engine therefore measures the crossover per plan and width
-(:class:`repro.serve.plancache.SpmmVerdicts`) and stacks a group only
+(:class:`repro.tuner.plan.SpmmVerdicts`) and stacks a group only
 where SpMM won.
 
 The kernels are *blocked* where it matters: a naive CSR SpMM would
@@ -132,14 +132,9 @@ def _segment_sums_2d(products: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return csum[ptr[1:]] - csum[ptr[:-1]]
 
 
-def _csr_spmm_rows(
-    matrix: CSRMatrix,
-    X: np.ndarray,
-    Y: np.ndarray,
-    row_lo: int,
-    row_hi: int,
-) -> None:
-    """Degree-grouped CSR SpMM over rows ``[row_lo, row_hi)`` into ``Y``.
+@register_spmm(FormatName.CSR)
+def csr_spmm(matrix: CSRMatrix, X: np.ndarray) -> np.ndarray:
+    """Degree-grouped gather + einsum reduction.
 
     Rows are bucketed by exact degree; each bucket is a rectangular
     slab gathered slot-major, ``(d, rows)``, and reduced with one
@@ -149,13 +144,16 @@ def _csr_spmm_rows(
     the gathered X slab at ~``CSR_BLOCK_ELEMS`` values.  Rows heavier
     than ``HEAVY_ROW_DEGREE`` fall through to a blocked segment-sum
     sweep so one hub row cannot force thousands of single-degree groups.
+
+    One pass over ``data``/``indices`` serves all k columns; the gathered
+    X rows are k-wide, so the operand-traffic amortisation is exactly the
+    batch width.
     """
+    X = matrix.check_operand_block(X)
     ptr, indices, data = matrix.ptr, matrix.indices, matrix.data
-    deg = np.diff(ptr[row_lo : row_hi + 1])
+    deg = np.diff(ptr)
     k = X.shape[1]
-    if deg.size == 0:
-        return
-    Y[row_lo:row_hi] = 0.0
+    Y = np.zeros((matrix.n_rows, k), dtype=matrix.dtype)
     order = np.argsort(deg, kind="stable")
     deg_sorted = deg[order]
     heavy_start = int(
@@ -166,13 +164,13 @@ def _csr_spmm_rows(
         d = int(deg_sorted[a])
         b = int(np.searchsorted(deg_sorted, d + 1, side="left"))
         rows = order[a:b]
-        starts = ptr[row_lo + rows]
+        starts = ptr[rows]
         slots = np.arange(d)[:, None]
         block = max(1, CSR_BLOCK_ELEMS // (d * k))
         for blk_lo in range(0, rows.size, block):
             blk_hi = min(rows.size, blk_lo + block)
             idx = slots + starts[None, blk_lo:blk_hi]
-            Y[row_lo + rows[blk_lo:blk_hi]] = np.einsum(
+            Y[rows[blk_lo:blk_hi]] = np.einsum(
                 "dr,drk->rk", data[idx], X[indices[idx]]
             )
         a = b
@@ -184,7 +182,7 @@ def _csr_spmm_rows(
         # Ragged arange: position p of heavy row r maps to nnz slot
         # ptr[row] + p, flattened across all heavy rows at once.
         flat = (
-            np.repeat(ptr[row_lo + heavy], h_deg)
+            np.repeat(ptr[heavy], h_deg)
             + np.arange(total)
             - np.repeat(h_ptr[:-1], h_deg)
         )
@@ -199,24 +197,9 @@ def _csr_spmm_rows(
                 continue
             sel = flat[int(h_ptr[ra]) : int(h_ptr[rb])]
             products = data[sel][:, None] * X[indices[sel], :]
-            Y[row_lo + heavy[ra:rb]] = _segment_sums_2d(
+            Y[heavy[ra:rb]] = _segment_sums_2d(
                 products, h_ptr[ra : rb + 1] - h_ptr[ra]
             )
-
-
-@register_spmm(FormatName.CSR)
-def csr_spmm(matrix: CSRMatrix, X: np.ndarray) -> np.ndarray:
-    """Degree-grouped gather + einsum reduction (see ``_csr_spmm_rows``).
-
-    One pass over ``data``/``indices`` serves all k columns; the gathered
-    X rows are k-wide, so the operand-traffic amortisation is exactly the
-    batch width.
-    """
-    X = matrix.check_operand_block(X)
-    if matrix.nnz == 0:
-        return np.zeros((matrix.n_rows, X.shape[1]), dtype=matrix.dtype)
-    Y = np.empty((matrix.n_rows, X.shape[1]), dtype=matrix.dtype)
-    _csr_spmm_rows(matrix, X, Y, 0, matrix.n_rows)
     return Y
 
 

@@ -18,10 +18,9 @@ techniques available to NumPy code:
   simulated machine model applies the thread-scaling factor; on the host
   each PARALLEL kernel does its work in one pass over all rows, usually by
   sharing its non-PARALLEL sibling's function, because replaying the split
-  chunk after chunk in CPython only adds per-chunk overhead.
-* ``THREAD`` — actually run the row chunks concurrently on a shared
-  ``ThreadPoolExecutor`` (see :mod:`repro.kernels.parallel`); NumPy's ufunc
-  inner loops release the GIL, so large matrices genuinely overlap.
+  chunk after chunk in CPython only adds per-chunk overhead.  No kernel
+  runs a thread pool of its own: the serving engine's worker threads are
+  the host's concurrency.
 * ``PREFETCH`` — software prefetch; a no-op in Python, included so the
   scoreboard demonstrably *discards* a strategy that shows no effect
   (the paper's "performance gap < 0.01 => neglect it" rule).
@@ -40,7 +39,6 @@ class Strategy(enum.Enum):
     ROW_BLOCK = "row_block"
     UNROLL = "unroll"
     PARALLEL = "parallel"
-    THREAD = "thread"
     PREFETCH = "prefetch"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

@@ -186,11 +186,7 @@ def cost_breakdown(
     f = features
     b = precision.bytes_per_value
     vectorized = Strategy.VECTORIZE in strategies
-    # THREAD (real ThreadPoolExecutor chunks) scales like PARALLEL (the
-    # modelled static row partition): both split rows across the cores.
-    parallel = (
-        Strategy.PARALLEL in strategies or Strategy.THREAD in strategies
-    )
+    parallel = Strategy.PARALLEL in strategies
     blocked = Strategy.ROW_BLOCK in strategies
     unrolled = Strategy.UNROLL in strategies
     threads = arch.cores if parallel else 1

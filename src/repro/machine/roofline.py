@@ -53,9 +53,7 @@ def roofline_point(
 ) -> RooflinePoint:
     """Place one (matrix, format) SpMV on ``arch``'s roofline."""
     blocked = Strategy.ROW_BLOCK in strategies
-    threaded = (
-        Strategy.PARALLEL in strategies or Strategy.THREAD in strategies
-    )
+    threaded = Strategy.PARALLEL in strategies
     threads = arch.cores if threaded else 1
 
     padded = _padded_size(fmt, features)

@@ -14,9 +14,8 @@ so every subsequent PR has a perf trajectory to append to, and CI can
 assert the vectorized cold path never regresses back to loop speed
 (``--assert-speedup``).
 
-Suites: ``smoke`` (sub-second, for tests), ``quick`` (the medium suite CI
-runs), ``full`` (adds a large tier and the >=2M-nnz THREAD-kernel case —
-skipped, not failed, on hosts with fewer than 4 cores).
+Suites: ``smoke`` (sub-second, for tests) and ``quick`` (the medium
+suite, the default, and the one CI runs).
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from repro.formats.convert import (
 )
 from repro.formats.csr import CSRMatrix
 from repro.kernels.base import find_kernel
-from repro.kernels.parallel import csr_spmv_thread, default_workers
 from repro.kernels.spmm import csr_spmm, dia_spmm, ell_spmm
 from repro.kernels.strategies import Strategy, strategy_set
 from repro.machine import SimulatedBackend
@@ -66,20 +64,11 @@ from repro.tuner.smat import SMAT
 from repro.types import INDEX_DTYPE, FormatName
 from repro.util.timing import median_time
 
-#: Minimum workers (and host cores) for the THREAD-kernel comparison; the
-#: acceptance criterion is skip-not-fail below this.
-THREAD_MIN_WORKERS = 4
-
-#: Non-zeros of the THREAD-kernel matrix (the ">=2M nnz" tier).
-THREAD_ROWS = 300_000
-THREAD_DIAGS = 7
-
 #: (n, n_diags) of the banded conversion/kernel matrix per suite, plus the
 #: power-law node count for the feature-extraction case.
 SUITE_SIZES = {
     "smoke": {"banded": (2_000, 5), "powerlaw": 1_500},
     "quick": {"banded": (25_000, 9), "powerlaw": 15_000},
-    "full": {"banded": (25_000, 9), "powerlaw": 15_000},
 }
 
 #: The ops the acceptance gate checks: the two conversions whose loop
@@ -120,12 +109,11 @@ SPEEDUP_KEYS = (
 #: shared smoke banded matrix is small enough that fixed per-call NumPy
 #: overhead, not asymptotic work, dominates the O(delta) patch side —
 #: the delta case gets its own floor size so the smoke gate measures
-#: the algorithm rather than interpreter constants.  Quick/full reuse
-#: the shared matrix.
+#: the algorithm rather than interpreter constants.  Quick reuses the
+#: shared matrix.
 DELTA_SIZES = {
     "smoke": (6_000, 5),
     "quick": (25_000, 9),
-    "full": (25_000, 9),
 }
 
 #: Structural edits per delta in the ``plan/graph_delta`` case, as a
@@ -148,7 +136,6 @@ CASCADE_CORPUS = {
         ("powerlaw", 10_000, 0),
     ),
 }
-CASCADE_CORPUS["full"] = CASCADE_CORPUS["quick"]
 
 #: Collection scale the cascade benchmark's throwaway model trains at:
 #: big enough for the Figure 7 rule groups to form, small enough to keep
@@ -186,7 +173,7 @@ CODEGEN_TIMING_TRIALS = 5
 #: smoke suite's sub-millisecond matrices sit below the scale where a
 #: specialized kernel can amortize its dispatch, so smoke runs check
 #: correctness (zero mismatches) but not the floor.
-CODEGEN_GATED_SUITES = ("quick", "full")
+CODEGEN_GATED_SUITES = ("quick",)
 
 #: Fixed floors for the batched fast path, checked regardless of the
 #: ``--assert-speedup`` value.  SpMM ops measure against k calls of the
@@ -194,7 +181,7 @@ CODEGEN_GATED_SUITES = ("quick", "full")
 #: does not apply.  Nor do they say when serving should stack: a plan
 #: often serves with a compiled kernel that k SpMM columns cannot beat,
 #: so the engine measures that crossover per plan and width
-#: (``serve.plancache.SpmmVerdicts``).  The one hard promise here is
+#: (``tuner.plan.SpmmVerdicts``).  The one hard promise here is
 #: that CSR at batch 64 amortises the operand traffic at least 3x.
 SPMM_GATES = {"spmm/csr_b64": 3.0}
 
@@ -283,10 +270,9 @@ def _array_mismatches(a: object, b: object) -> int:
 
 
 def run_suite(
-    suite: str = "full",
+    suite: str = "quick",
     repeats: int = 3,
     loop_repeats: int = 1,
-    workers: Optional[int] = None,
     seed: int = 2013,
     kernel_backend: str = "codegen",
 ) -> Dict[str, object]:
@@ -717,38 +703,6 @@ def run_suite(
         ),
     }
 
-    # -- THREAD kernel: real concurrency on a >=2M-nnz matrix -----------
-    if suite == "full":
-        n_workers = workers if workers is not None else default_workers()
-        if n_workers < THREAD_MIN_WORKERS:
-            ops["spmv/csr_thread"] = {
-                "skipped": (
-                    f"needs >= {THREAD_MIN_WORKERS} workers, "
-                    f"host offers {n_workers}"
-                ),
-                "workers": n_workers,
-            }
-        else:
-            big = banded.banded_matrix(THREAD_ROWS, THREAD_DIAGS, seed=seed)
-            xb = np.ones(big.n_cols, dtype=big.dtype)
-            single_s = _time(lambda: csr_fast(big, xb), repeats)
-            thread_s = _time(
-                lambda: csr_spmv_thread(big, xb, workers=n_workers), repeats
-            )
-            ops["spmv/csr_thread"] = {
-                "median_s": thread_s,
-                "single_chunk_median_s": single_s,
-                "speedup_vs_vectorized": (
-                    single_s / thread_s if thread_s > 0 else 0.0
-                ),
-                "workers": n_workers,
-                "nnz": big.nnz,
-            }
-    else:
-        ops["spmv/csr_thread"] = {
-            "skipped": f"suite {suite!r} (run the full suite)",
-        }
-
     return {
         "bench": "perf_regression",
         "suite": suite,
@@ -915,9 +869,6 @@ def format_report(report: Dict[str, object]) -> str:
         elif "generic_median_s" in entry:
             loop = _fmt_seconds(float(entry["generic_median_s"]))
             speed = f"{float(entry['speedup_vs_generic']):.2f}x"
-        elif "single_chunk_median_s" in entry:
-            loop = _fmt_seconds(float(entry["single_chunk_median_s"]))
-            speed = f"{float(entry['speedup_vs_vectorized']):.2f}x"
         else:
             loop, speed = "-", "-"
         lines.append(f"{name:26s} {median:>10s} {loop:>10s} {speed:>9s}")

@@ -30,7 +30,7 @@ into a persistent service.  The pipeline per request:
    allows, the group may run as **one SpMM** (a single pass over the
    sparse operand): only on a plan with a native SpMM kernel, and only
    at widths where the plan's measured verdict says SpMM beat k calls of
-   its serving kernel (:class:`~repro.serve.plancache.SpmmVerdicts`).
+   its serving kernel (:class:`~repro.tuner.plan.SpmmVerdicts`).
    Other groups run member by member.  A batched failure falls back to
    per-request SpMV so deadlines, retries and faults keep per-request
    semantics.  ``batch_window`` lets a worker linger at dequeue to absorb

@@ -1,4 +1,4 @@
-"""Sparse-ops tests: transpose, matmul, Galerkin triple product."""
+"""Sparse-ops tests: transpose, matmul, the Galerkin product, diagonal."""
 
 from __future__ import annotations
 
@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import FormatError
 from repro.formats import CSRMatrix
-from repro.formats.ops import (
-    diagonal,
-    extract_columns,
-    matmul,
-    scale_rows,
-    transpose,
-    triple_product,
-)
+from repro.formats.ops import diagonal, matmul, transpose
 from tests.conftest import random_csr
 
 
@@ -80,11 +73,14 @@ class TestMatmul:
 
 class TestTripleProduct:
     def test_galerkin_matches_dense(self, rng) -> None:
+        # The coarse operator as the AMG hierarchy forms it: R = P^T is
+        # kept for the level, so the product is R (A P).
         a = random_csr(rng, 16, 16, 0.25)
         p = random_csr(rng, 16, 6, 0.3)
         expected = p.to_dense().T @ a.to_dense() @ p.to_dense()
         np.testing.assert_allclose(
-            triple_product(p, a).to_dense(), expected, atol=1e-10
+            matmul(transpose(p), matmul(a, p)).to_dense(), expected,
+            atol=1e-10,
         )
 
 
@@ -98,30 +94,3 @@ class TestHelpers:
         np.testing.assert_array_equal(
             diagonal(a), np.diag(a.to_dense())
         )
-
-    def test_scale_rows(self, rng) -> None:
-        a = random_csr(rng, 7, 9, 0.4)
-        f = rng.standard_normal(7)
-        np.testing.assert_allclose(
-            scale_rows(a, f).to_dense(), np.diag(f) @ a.to_dense(),
-            atol=1e-12,
-        )
-
-    def test_scale_rows_bad_length(self, rng) -> None:
-        with pytest.raises(FormatError, match="factors"):
-            scale_rows(random_csr(rng, 7, 9, 0.4), np.ones(3))
-
-    def test_extract_columns(self, rng) -> None:
-        a = random_csr(rng, 8, 10, 0.4)
-        keep = np.zeros(10, dtype=bool)
-        keep[[1, 4, 7]] = True
-        restricted, col_map = extract_columns(a, keep)
-        np.testing.assert_array_equal(
-            restricted.to_dense(), a.to_dense()[:, [1, 4, 7]]
-        )
-        assert col_map[4] == 1
-        assert col_map[0] == -1
-
-    def test_extract_columns_bad_mask(self, rng) -> None:
-        with pytest.raises(FormatError, match="mask"):
-            extract_columns(random_csr(rng, 5, 5, 0.5), np.ones(3, bool))

@@ -93,7 +93,7 @@ def test_the_scan_sees_known_emitters() -> None:
     # a scan that missed any of these shapes would pass vacuously.
     emitted = emitted_span_names()
     assert {"serve.plan", "tune.cascade", "tune.decide"} <= emitted
-    assert {"serve.request", "kernel.chunk"} <= emitted
+    assert {"serve.request", "serve.queue"} <= emitted
 
 
 def test_every_emitted_span_is_documented() -> None:

@@ -17,7 +17,6 @@ from repro.errors import DeadlineExceededError
 from repro.formats.convert import csr_to_dia, csr_to_ell
 from repro.formats.csr import CSRMatrix
 from repro.formats.reference import csr_spmm_loop
-from repro.kernels.parallel import csr_spmm_thread
 from repro.kernels.spmm import (
     HEAVY_ROW_DEGREE,
     csr_spmm,
@@ -85,15 +84,6 @@ class TestKernels:
         matrix = CSRMatrix.from_dense(np.zeros((6, 4)))
         Y = csr_spmm(matrix, np.ones((4, 3)))
         assert np.array_equal(Y, np.zeros((6, 3)))
-
-    def test_thread_kernel_matches_single_chunk(self, rng) -> None:
-        matrix = with_dyadic_data(
-            random_csr(rng, n_rows=300, n_cols=280), rng
-        )
-        X = dyadic_block(rng, 280, 5)
-        assert np.array_equal(
-            csr_spmm_thread(matrix, X, workers=3), csr_spmm(matrix, X)
-        )
 
     def test_ell_dia_match_loop_oracle(self, rng) -> None:
         base = CSRMatrix.from_dense(
