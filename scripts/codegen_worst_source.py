@@ -2,13 +2,13 @@
 """Dump the worst-ratio generated kernel's source as a CI artifact.
 
 Runs the same structured families the ``codegen/`` perfbench section
-measures (DIA/BDIA banded, BCSR blocked, HYB power-law), times each
-generated kernel against the generic vectorized registry kernel, and
-writes a report whose tail is the **full generated source** of the
-family with the *lowest* speedup — the kernel closest to losing the
-beat-or-keep race.  When a codegen regression trips the perf gate, this
-artifact shows exactly what the backend emitted, without anyone having
-to reproduce the run.
+measures (``perfbench.CODEGEN_OPS``), times each generated kernel
+against the generic vectorized registry kernel, and writes a report
+whose tail is the **full generated source** of the family with the
+*lowest* speedup — the kernel closest to losing the beat-or-keep race.
+When a codegen regression trips the perf gate, this artifact shows
+exactly what the backend emitted, without anyone having to reproduce
+the run.
 
 Usage::
 
@@ -28,29 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.collection import banded, graphs
+from repro.collection import banded
 from repro.formats.convert import convert
 from repro.kernels.base import find_kernel
 from repro.kernels.codegen import generate_kernel
 from repro.kernels.strategies import Strategy, strategy_set
-from repro.perfbench import SUITE_SIZES
-from repro.types import FormatName
+from repro.perfbench import CODEGEN_OPS, SUITE_SIZES
 from repro.util.timing import median_time
-
-
-def _families(suite: str, seed: int):
-    sizes = SUITE_SIZES[suite]
-    n, n_diags = sizes["banded"]
-    band = banded.banded_matrix(n, n_diags, seed=seed)
-    power = graphs.power_law_graph(
-        sizes["powerlaw"], exponent=2.2, seed=seed
-    )
-    return (
-        ("dia_banded", band, FormatName.DIA),
-        ("bdia_banded", band, FormatName.BDIA),
-        ("bcsr_blocked", band, FormatName.BCSR),
-        ("hyb_powerlaw", power, FormatName.HYB),
-    )
 
 
 def main(argv=None) -> int:
@@ -65,11 +49,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2013)
     args = parser.parse_args(argv)
 
+    n, n_diags = SUITE_SIZES[args.suite]["banded"]
+    band = banded.banded_matrix(n, n_diags, seed=args.seed)
     vectorize = strategy_set(Strategy.VECTORIZE)
     rows = []
     mismatched = False
-    for name, source_matrix, fmt in _families(args.suite, args.seed):
-        converted, _ = convert(source_matrix, fmt, fill_budget=None)
+    for name, fmt in CODEGEN_OPS.items():
+        converted, _ = convert(band, fmt, fill_budget=None)
         generic = find_kernel(fmt, vectorize)
         generated = generate_kernel(converted)
         x = np.ones(converted.n_cols, dtype=converted.dtype)
@@ -99,13 +85,13 @@ def main(argv=None) -> int:
         f"codegen worst-ratio report (suite {args.suite!r}, "
         f"seed {args.seed})",
         "",
-        f"{'family':16s} {'speedup':>9s} {'generated':>12s} "
+        f"{'family':20s} {'speedup':>9s} {'generated':>12s} "
         f"{'generic':>12s}  verified",
     ]
     for row in rows:
         marker = " <-- worst" if row is worst else ""
         lines.append(
-            f"{row['family']:16s} {row['speedup']:>8.2f}x "
+            f"{row['family']:20s} {row['speedup']:>8.2f}x "
             f"{row['generated_s'] * 1e6:>10.1f}us "
             f"{row['generic_s'] * 1e6:>10.1f}us  "
             f"{'yes' if row['agree'] else 'MISMATCH'}{marker}"

@@ -18,12 +18,10 @@ from repro.errors import (
     TuningError,
 )
 from repro.formats import (
-    BCSRMatrix,
     COOMatrix,
     CSRMatrix,
     DIAMatrix,
     ELLMatrix,
-    HYBMatrix,
     SparseMatrix,
     convert,
 )
@@ -69,7 +67,6 @@ __version__ = package_version()
 
 __all__ = [
     "BASIC_FORMATS",
-    "BCSRMatrix",
     "BackpressureError",
     "COOMatrix",
     "CSRMatrix",
@@ -78,7 +75,6 @@ __all__ = [
     "ELLMatrix",
     "FormatError",
     "FormatName",
-    "HYBMatrix",
     "KernelError",
     "LearningError",
     "Precision",

@@ -6,13 +6,10 @@ from repro.baselines.mkl_like import (
     MKL_KERNEL_GAP,
     MKL_MEASURED_FORMATS,
     mkl_best_time,
-    mkl_xbsrgemv,
     mkl_xcoogemv,
-    mkl_xcscmv,
     mkl_xcsrgemv,
     mkl_xdiagemv,
     mkl_xellgemv,
-    mkl_xskymv,
 )
 
 __all__ = [
@@ -22,12 +19,9 @@ __all__ = [
     "MKL_MEASURED_FORMATS",
     "brute_force_search",
     "mkl_best_time",
-    "mkl_xbsrgemv",
     "mkl_xcoogemv",
-    "mkl_xcscmv",
     "mkl_xcsrgemv",
     "mkl_xdiagemv",
     "mkl_xellgemv",
-    "mkl_xskymv",
     "train_clspmv",
 ]

@@ -2,9 +2,11 @@
 
 Intel MKL exposes one SpMV routine per storage format and leaves format
 choice to the caller; it is well-optimized but *format-static*.  This module
-reproduces that interface: six per-format entry points named after MKL's,
-built on the same optimized kernels SMAT uses — so every speedup the
-Figure 10 bench reports comes from *adaptivity*, not from kernel quality.
+reproduces that interface for SMAT's four formats: per-format entry points
+for CSR, COO, DIA and ELL named after MKL's, built on the same optimized
+kernels SMAT uses — so every speedup the Figure 10 bench reports comes from
+*adaptivity*, not from kernel quality.  Figure 5 also lists MKL routines
+for formats outside those four; they are not reproduced here.
 
 The Figure 10 comparison follows the paper's protocol: "MKL performance
 ... is the maximum performance number of DIA, CSR, and COO SpMV functions",
@@ -66,34 +68,6 @@ def mkl_xellgemv(matrix, x: np.ndarray) -> np.ndarray:
     return _kernel(FormatName.ELL)(matrix, x)
 
 
-def mkl_xbsrgemv(matrix, x: np.ndarray) -> np.ndarray:
-    """BCSR SpMV (``mkl_?bsrgemv``)."""
-    return find_kernel(FormatName.BCSR, strategy_set(Strategy.VECTORIZE))(
-        matrix, x
-    )
-
-
-def mkl_xcscmv(matrix, x: np.ndarray) -> np.ndarray:
-    """CSC SpMV (``mkl_?cscmv``)."""
-    return find_kernel(FormatName.CSC, strategy_set(Strategy.VECTORIZE))(
-        matrix, x
-    )
-
-
-def mkl_xskymv(matrix, x: np.ndarray) -> np.ndarray:
-    """Skyline SpMV (``mkl_?skymv``)."""
-    return find_kernel(FormatName.SKY, strategy_set(Strategy.VECTORIZE))(
-        matrix, x
-    )
-
-
-def mkl_xhybgemv(matrix, x: np.ndarray) -> np.ndarray:
-    """HYB SpMV (extension routine)."""
-    return find_kernel(FormatName.HYB, strategy_set(Strategy.VECTORIZE))(
-        matrix, x
-    )
-
-
 #: The routines the paper measures for the MKL bar of Figure 10.
 MKL_MEASURED_FORMATS: Tuple[FormatName, ...] = (
     FormatName.DIA,
@@ -121,15 +95,9 @@ def mkl_best_time(
         except ConversionError:
             continue
         times[fmt] = (
-            backend.measure(_mkl_kernel(fmt), converted, features)
+            backend.measure(_kernel(fmt), converted, features)
             * MKL_KERNEL_GAP
         )
     best = min(times, key=lambda f: times[f])
     return best, times[best], times
 
-
-def _mkl_kernel(fmt: FormatName) -> Kernel:
-    if fmt in (FormatName.BCSR, FormatName.HYB, FormatName.CSC,
-               FormatName.SKY):
-        return find_kernel(fmt, strategy_set(Strategy.VECTORIZE))
-    return _kernel(fmt)

@@ -2,7 +2,7 @@
 
 Stand-ins for structural-mechanics matrices assembled from small dense
 element blocks (pkustk14, crankseg_2 style): heavy rows, high average
-degree, dense local blocks — CSR (or BCSR) territory.
+degree, dense local blocks — CSR territory.
 """
 
 from __future__ import annotations

@@ -2,36 +2,24 @@
 
 The four basic formats — CSR, COO, DIA, ELL — are implemented from scratch
 on top of NumPy arrays, with the exact memory layouts the paper's Figure 2
-uses (DIA is diagonal-major indexed by row; ELL is column-major).  BCSR and
-HYB demonstrate the extensibility story of Section 3.
+uses (DIA is diagonal-major indexed by row; ELL is column-major).  They are
+the ``Cn(DIA, ELL, CSR, COO)`` classes of Equation 1.
 """
 
-from repro.formats.base import SparseMatrix, register_format, resolve_format
-from repro.formats.bcsr import BCSRMatrix
-from repro.formats.bdia import BDIAMatrix
+from repro.formats.base import SparseMatrix
 from repro.formats.convert import ConversionCost, convert, conversion_cost
 from repro.formats.coo import COOMatrix
-from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.dia import DIAMatrix
 from repro.formats.ell import ELLMatrix
-from repro.formats.hyb import HYBMatrix
-from repro.formats.sky import SKYMatrix
 
 __all__ = [
-    "BCSRMatrix",
-    "BDIAMatrix",
     "COOMatrix",
-    "CSCMatrix",
     "CSRMatrix",
     "ConversionCost",
     "DIAMatrix",
     "ELLMatrix",
-    "HYBMatrix",
-    "SKYMatrix",
     "SparseMatrix",
     "conversion_cost",
     "convert",
-    "register_format",
-    "resolve_format",
 ]

@@ -1,40 +1,14 @@
-"""Abstract base class and registry for sparse-matrix storage formats."""
+"""Abstract base class of the sparse-matrix storage formats."""
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Tuple, Type
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import FormatError
 from repro.types import FormatName, Precision
-
-_FORMAT_REGISTRY: Dict[FormatName, Type["SparseMatrix"]] = {}
-
-
-def register_format(name: FormatName):
-    """Class decorator registering a concrete format under ``name``.
-
-    The registry is what makes SMAT "extension-free" (Section 3): a new
-    format plugs in by registering its class and its kernels; the tuner
-    discovers both through lookups rather than hard-coded dispatch.
-    """
-
-    def wrap(cls: Type["SparseMatrix"]) -> Type["SparseMatrix"]:
-        _FORMAT_REGISTRY[name] = cls
-        cls.format_name = name
-        return cls
-
-    return wrap
-
-
-def resolve_format(name: FormatName) -> Type["SparseMatrix"]:
-    """Return the class registered for ``name``."""
-    try:
-        return _FORMAT_REGISTRY[name]
-    except KeyError:
-        raise FormatError(f"no format registered under {name}") from None
 
 
 class SparseMatrix(abc.ABC):
@@ -51,7 +25,7 @@ class SparseMatrix(abc.ABC):
       the cost model.
     """
 
-    format_name: FormatName  # injected by @register_format
+    format_name: FormatName  # set by each concrete format class
 
     def __init__(self, shape: Tuple[int, int], dtype: np.dtype) -> None:
         n_rows, n_cols = int(shape[0]), int(shape[1])

@@ -13,12 +13,11 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import SparseMatrix, register_format
+from repro.formats.base import SparseMatrix
 from repro.types import INDEX_DTYPE, FormatName
 from repro.util.validation import check_1d, check_index_range, check_same_length
 
 
-@register_format(FormatName.COO)
 class COOMatrix(SparseMatrix):
     """Coordinate-format sparse matrix.
 
@@ -26,6 +25,8 @@ class COOMatrix(SparseMatrix):
     would produce).  Duplicates are allowed by the format definition and sum
     during SpMV, but the converters never produce them.
     """
+
+    format_name = FormatName.COO
 
     def __init__(
         self,

@@ -11,7 +11,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import SparseMatrix, register_format
+from repro.formats.base import SparseMatrix
 from repro.types import INDEX_DTYPE, FormatName
 from repro.util.arrays import distinct
 from repro.util.validation import (
@@ -22,7 +22,6 @@ from repro.util.validation import (
 )
 
 
-@register_format(FormatName.CSR)
 class CSRMatrix(SparseMatrix):
     """Compressed sparse row matrix.
 
@@ -35,6 +34,8 @@ class CSRMatrix(SparseMatrix):
     serving layer's fingerprint is computed once for such a matrix and
     kept on it.
     """
+
+    format_name = FormatName.CSR
 
     #: ``(ptr, indices, data, key)``: the content key
     #: :func:`repro.serve.fingerprint.fingerprint` computed over these

@@ -18,13 +18,14 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import SparseMatrix, register_format
+from repro.formats.base import SparseMatrix
 from repro.types import INDEX_DTYPE, FormatName
 
 
-@register_format(FormatName.ELL)
 class ELLMatrix(SparseMatrix):
     """ELLPACK sparse matrix with column-major packed storage."""
+
+    format_name = FormatName.ELL
 
     def __init__(
         self,
@@ -99,6 +100,7 @@ class ELLMatrix(SparseMatrix):
         return cls(indices, data, dense.shape, int(degrees.sum()))
 
     def _refresh_values(self, csr) -> "ELLMatrix":
+        # One flat index into the C-ordered store, as in DIAMatrix.
         plan = getattr(self, "_refresh_plan", None)
         if plan is None:
             degrees = csr.row_degrees()
@@ -108,16 +110,15 @@ class ELLMatrix(SparseMatrix):
             slot = np.arange(csr.nnz, dtype=INDEX_DTYPE) - np.repeat(
                 csr.ptr[:-1], degrees
             )
-            plan = (slot, row_of)
+            plan = slot * self.n_rows + row_of
             self._refresh_plan = plan
-        slot, row_of = plan
-        if row_of.shape[0] != csr.nnz:
+        if plan.shape[0] != csr.nnz:
             raise FormatError(
                 f"refresh_values nnz mismatch: source has {csr.nnz}, "
-                f"stored structure scatters {row_of.shape[0]}"
+                f"stored structure scatters {plan.shape[0]}"
             )
-        data = np.zeros_like(self.data)
-        data[slot, row_of] = csr.data
+        data = np.zeros(self.data.shape, self.data.dtype)
+        data.ravel()[plan] = csr.data
         out = ELLMatrix(self.indices, data, self.shape, self._nnz)
         out._refresh_plan = plan
         return out

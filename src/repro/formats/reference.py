@@ -24,15 +24,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConversionError, FormatError
-from repro.formats.bcsr import BCSRMatrix
+from repro.errors import ConversionError
 from repro.formats.convert import DEFAULT_FILL_BUDGET, ConversionCost
-from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.dia import DIAMatrix
 from repro.formats.ell import ELLMatrix
-from repro.formats.hyb import HYBMatrix
-from repro.formats.sky import SKYMatrix
 from repro.types import INDEX_DTYPE, FormatName
 
 
@@ -97,220 +93,6 @@ def csr_to_dia_loop(
         touched_slots=2 * matrix.nnz + padded,
     )
     return dia, cost
-
-
-def csr_to_bcsr_loop(
-    matrix: CSRMatrix,
-    block_shape: Tuple[int, int] = (2, 2),
-    fill_budget: Optional[float] = DEFAULT_FILL_BUDGET,
-) -> Tuple[BCSRMatrix, ConversionCost]:
-    """Per-element block-tiling loop (the pre-vectorization path)."""
-    r, c = int(block_shape[0]), int(block_shape[1])
-    if r <= 0 or c <= 0:
-        raise FormatError(f"block dims must be positive, got {block_shape}")
-    n_block_rows = -(-matrix.n_rows // r)
-    if matrix.nnz == 0:
-        empty = BCSRMatrix(
-            np.zeros(n_block_rows + 1, dtype=INDEX_DTYPE),
-            np.zeros(0, dtype=INDEX_DTYPE),
-            np.zeros((0, r, c), dtype=matrix.dtype),
-            matrix.shape,
-            0,
-        )
-        return empty, ConversionCost(FormatName.CSR, FormatName.BCSR, 0, 0)
-
-    n_block_cols = -(-matrix.n_cols // c)
-    keys = set()
-    for i in range(matrix.n_rows):
-        for jj in range(int(matrix.ptr[i]), int(matrix.ptr[i + 1])):
-            keys.add((i // r) * n_block_cols + int(matrix.indices[jj]) // c)
-    sorted_keys = sorted(keys)
-    n_blocks = len(sorted_keys)
-    padded = n_blocks * r * c
-    if fill_budget is not None and padded > fill_budget * matrix.nnz:
-        raise ConversionError(
-            f"CSR->BCSR{block_shape} would allocate {padded} slots for "
-            f"{matrix.nnz} non-zeros; refusing"
-        )
-    block_of = {key: b for b, key in enumerate(sorted_keys)}
-    blocks = np.zeros((n_blocks, r, c), dtype=matrix.dtype)
-    for i in range(matrix.n_rows):
-        for jj in range(int(matrix.ptr[i]), int(matrix.ptr[i + 1])):
-            j = int(matrix.indices[jj])
-            b = block_of[(i // r) * n_block_cols + j // c]
-            blocks[b, i % r, j % c] = matrix.data[jj]
-
-    block_rows = [key // n_block_cols for key in sorted_keys]
-    block_cols = np.asarray(
-        [key % n_block_cols for key in sorted_keys], dtype=INDEX_DTYPE
-    )
-    block_ptr = np.zeros(n_block_rows + 1, dtype=INDEX_DTYPE)
-    for brow in block_rows:
-        block_ptr[brow + 1] += 1
-    np.cumsum(block_ptr, out=block_ptr)
-
-    bcsr = BCSRMatrix(block_ptr, block_cols, blocks, matrix.shape, matrix.nnz)
-    cost = ConversionCost(
-        FormatName.CSR,
-        FormatName.BCSR,
-        matrix.nnz,
-        touched_slots=2 * matrix.nnz + padded,
-    )
-    return bcsr, cost
-
-
-def csr_to_sky_loop(
-    matrix: CSRMatrix, fill_budget: Optional[float] = DEFAULT_FILL_BUDGET
-) -> Tuple[SKYMatrix, ConversionCost]:
-    """Per-row profile-packing loop (the pre-vectorization path)."""
-    if matrix.n_rows != matrix.n_cols:
-        raise ConversionError(
-            f"skyline needs a square matrix, got {matrix.shape}"
-        )
-    n = matrix.n_rows
-    pointers = np.zeros(n + 1, dtype=INDEX_DTYPE)
-    first_col = np.zeros(n, dtype=INDEX_DTYPE)
-    for i in range(n):
-        first = i
-        for jj in range(int(matrix.ptr[i]), int(matrix.ptr[i + 1])):
-            j = int(matrix.indices[jj])
-            if j <= i and j < first:
-                first = j
-        first_col[i] = first
-        pointers[i + 1] = pointers[i] + (i - first + 1)
-
-    profile = np.zeros(int(pointers[-1]), dtype=matrix.dtype)
-    upper_rows, upper_cols, upper_vals = [], [], []
-    for i in range(n):
-        for jj in range(int(matrix.ptr[i]), int(matrix.ptr[i + 1])):
-            j = int(matrix.indices[jj])
-            if j <= i:
-                profile[int(pointers[i]) + (j - int(first_col[i]))] = (
-                    matrix.data[jj]
-                )
-            else:
-                upper_rows.append(i)
-                upper_cols.append(j)
-                upper_vals.append(matrix.data[jj])
-    if upper_rows:
-        upper = CSRMatrix.from_triplets(
-            np.asarray(upper_rows, dtype=INDEX_DTYPE),
-            np.asarray(upper_cols, dtype=INDEX_DTYPE),
-            np.asarray(upper_vals, dtype=matrix.dtype),
-            matrix.shape,
-        )
-    else:
-        upper = None
-    sky = SKYMatrix(pointers, profile, matrix.shape, upper=upper, nnz=matrix.nnz)
-    stored = sky.profile_size + (sky.upper.nnz if sky.upper else 0)
-    if (
-        fill_budget is not None
-        and matrix.nnz
-        and stored > fill_budget * matrix.nnz
-    ):
-        raise ConversionError(
-            f"CSR->SKY would store {stored} slots for {matrix.nnz} "
-            f"non-zeros ({stored / matrix.nnz:.1f}x, budget "
-            f"{fill_budget:.1f}x); refusing"
-        )
-    cost = ConversionCost(
-        FormatName.CSR, FormatName.SKY, matrix.nnz,
-        touched_slots=2 * matrix.nnz + stored,
-    )
-    return sky, cost
-
-
-def sky_to_csr_loop(matrix: SKYMatrix) -> Tuple[CSRMatrix, ConversionCost]:
-    """Per-row profile-scan loop (the pre-vectorization ``sky_to_csr``)."""
-    first = matrix.first_columns()
-    rows_list = []
-    cols_list = []
-    vals_list = []
-    for i in range(matrix.n_rows):
-        start, end = int(matrix.pointers[i]), int(matrix.pointers[i + 1])
-        segment = matrix.profile[start:end]
-        nz = np.nonzero(segment)[0]
-        rows_list.append(np.full(nz.shape[0], i, dtype=INDEX_DTYPE))
-        cols_list.append(nz + int(first[i]))
-        vals_list.append(segment[nz])
-    if matrix.upper is not None:
-        upper_rows = np.repeat(
-            np.arange(matrix.n_rows, dtype=INDEX_DTYPE),
-            matrix.upper.row_degrees(),
-        )
-        rows_list.append(upper_rows)
-        cols_list.append(matrix.upper.indices)
-        vals_list.append(matrix.upper.data)
-    rows = np.concatenate(rows_list) if rows_list else np.zeros(0, INDEX_DTYPE)
-    cols = np.concatenate(cols_list) if cols_list else np.zeros(0, INDEX_DTYPE)
-    vals = (
-        np.concatenate(vals_list)
-        if vals_list
-        else np.zeros(0, dtype=matrix.dtype)
-    )
-    csr = CSRMatrix.from_triplets(rows, cols, vals, matrix.shape)
-    cost = ConversionCost(
-        FormatName.SKY, FormatName.CSR, csr.nnz,
-        touched_slots=matrix.profile_size + 3 * csr.nnz,
-    )
-    return csr, cost
-
-
-def csr_to_hyb_loop(
-    matrix: CSRMatrix, ell_width: Optional[int] = None
-) -> Tuple[HYBMatrix, ConversionCost]:
-    """Per-row split loop (the pre-vectorization ``csr_to_hyb``)."""
-    degrees = matrix.row_degrees()
-    if ell_width is None:
-        if matrix.nnz == 0 or degrees.size == 0:
-            ell_width = 0
-        else:
-            ell_width = int(np.percentile(degrees, 67))
-    ell_width = max(int(ell_width), 0)
-
-    n_rows = matrix.n_rows
-    indices = np.zeros((ell_width, n_rows), dtype=INDEX_DTYPE)
-    data = np.zeros((ell_width, n_rows), dtype=matrix.dtype)
-    coo_rows = []
-    coo_cols = []
-    coo_vals = []
-    ell_nnz = 0
-    for i in range(n_rows):
-        start, end = int(matrix.ptr[i]), int(matrix.ptr[i + 1])
-        width = min(end - start, ell_width)
-        indices[:width, i] = matrix.indices[start : start + width]
-        data[:width, i] = matrix.data[start : start + width]
-        ell_nnz += width
-        if end - start > ell_width:
-            overflow = slice(start + ell_width, end)
-            coo_rows.append(
-                np.full(end - start - ell_width, i, dtype=INDEX_DTYPE)
-            )
-            coo_cols.append(matrix.indices[overflow])
-            coo_vals.append(matrix.data[overflow])
-    ell = ELLMatrix(indices, data, matrix.shape, ell_nnz)
-    if coo_rows:
-        coo = COOMatrix(
-            np.concatenate(coo_rows),
-            np.concatenate(coo_cols),
-            np.concatenate(coo_vals),
-            matrix.shape,
-        )
-    else:
-        coo = COOMatrix(
-            np.zeros(0, dtype=INDEX_DTYPE),
-            np.zeros(0, dtype=INDEX_DTYPE),
-            np.zeros(0, dtype=matrix.dtype),
-            matrix.shape,
-        )
-    hyb = HYBMatrix(ell, coo)
-    cost = ConversionCost(
-        FormatName.CSR,
-        FormatName.HYB,
-        matrix.nnz,
-        touched_slots=2 * matrix.nnz + 2 * ell.padded_size + 3 * coo.nnz,
-    )
-    return hyb, cost
 
 
 def extract_structure_features_loop(matrix: CSRMatrix) -> dict:

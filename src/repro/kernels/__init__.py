@@ -6,9 +6,6 @@ and scores the strategies with the scoreboard algorithm.
 """
 
 # Importing the kernel modules runs their @register_kernel decorators.
-from repro.kernels import bdia_kernels  # noqa: F401
-from repro.kernels import blocked_kernels  # noqa: F401
-from repro.kernels import csc_sky_kernels  # noqa: F401
 from repro.kernels import coo_kernels  # noqa: F401
 from repro.kernels import csr_kernels  # noqa: F401
 from repro.kernels import dia_kernels  # noqa: F401

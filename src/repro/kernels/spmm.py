@@ -102,7 +102,7 @@ def spmm_fallback(
     """Column-by-column SpMM through an SpMV callable.
 
     The transparent degradation path for formats without a native kernel
-    (HYB/BCSR/...): correctness is unconditional, the memory-traffic
+    (COO): correctness is unconditional, the memory-traffic
     amortisation simply doesn't apply.  ``spmv`` defaults to the matrix's
     reference kernel; plans pass their tuned kernel instead.
     """

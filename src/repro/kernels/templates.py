@@ -8,15 +8,14 @@ specialized kernel function::
         return y
 
 with every *structural* constant folded into the source as a literal —
-diagonal offsets and slice bounds for DIA/BDIA, the packed width for ELL,
-the ``r x c`` block shape for BCSR, the ELL/COO split for HYB, and the
-distinct row degrees for CSR.  Values (``matrix.data`` and friends) stay
+diagonal offsets and slice bounds for DIA, the packed width for ELL, and
+the distinct row degrees for CSR.  Values (``matrix.data`` and friends) stay
 runtime inputs, so a compiled kernel survives ``refresh_values`` — the
 refreshed matrix shares the structure the source was folded against.
 
-Structural arrays too large to embed as literals (degree-bucket gather
-indices, COO row boundaries) are precomputed here and returned as ``aux``;
-the backend binds them into the kernel closure.  Because ``aux`` derives
+Structural arrays too large to embed as literals (CSR's degree-bucket
+gather indices) are precomputed here and returned as ``aux``; the
+backend binds them into the kernel closure.  Because ``aux`` derives
 deterministically from structure, two structurally identical matrices can
 share one compiled code object (the compile cache in ``codegen.py`` is
 keyed by the source hash alone) while each binds its own ``aux``.
@@ -26,9 +25,6 @@ their home structure family, not merely to match them:
 
 * DIA drops the masked clip-gather planes for direct slice-AXPYs with
   literal bounds.
-* BCSR and HYB replace ``np.add.at`` scatters with contiguous
-  segment-sum reductions (stored blocks / COO triplets are already
-  sorted by row).
 * CSR groups equal-degree rows and reduces each bucket with one
   ``einsum`` instead of the global cumsum segment trick.
 
@@ -107,38 +103,6 @@ def _emit_dia(matrix: SparseMatrix) -> GeneratedSource:
     return GeneratedSource(FormatName.DIA, "\n".join(lines) + "\n", ())
 
 
-def _emit_bdia(matrix: SparseMatrix) -> GeneratedSource:
-    """BDIA: band loops fully unrolled, per-diagonal bounds folded."""
-    if int(matrix.num_diags) > MAX_DIAGS:
-        raise CodegenError(
-            f"BDIA matrix has {matrix.num_diags} diagonals; unroll "
-            f"ceiling is {MAX_DIAGS}"
-        )
-    lines = [
-        "def spmv(matrix, x, aux):",
-        f"    # codegen: BDIA, {matrix.n_bands} bands / "
-        f"{matrix.num_diags} diagonals, "
-        f"shape ({matrix.n_rows}, {matrix.n_cols})",
-        "    bands = matrix.bands",
-        f"    y = np.zeros({matrix.n_rows}, dtype=bands[0].dtype)",
-    ]
-    for b in range(matrix.n_bands):
-        base = int(matrix.offsets[b])
-        width = int(matrix.bands[b].shape[0])
-        lines.append(f"    band_{b} = bands[{b}]")
-        for j in range(width):
-            k = base + j
-            i0, j0, n = _diag_bounds(k, matrix.n_rows, matrix.n_cols)
-            if n <= 0:
-                continue
-            lines.append(
-                f"    y[{i0}:{i0 + n}] += "
-                f"band_{b}[{j}, {i0}:{i0 + n}] * x[{j0}:{j0 + n}]"
-            )
-    lines.append("    return y")
-    return GeneratedSource(FormatName.BDIA, "\n".join(lines) + "\n", ())
-
-
 def _emit_ell(matrix: SparseMatrix) -> GeneratedSource:
     """ELL: packed-slot loop unrolled; padding rides along (0 * x[0])."""
     width = int(matrix.max_row_degree)
@@ -162,98 +126,6 @@ def _emit_ell(matrix: SparseMatrix) -> GeneratedSource:
             lines.append(f"    y += data[{s}] * x[indices[{s}]]")
         lines.append("    return y")
     return GeneratedSource(FormatName.ELL, "\n".join(lines) + "\n", ())
-
-
-def _emit_bcsr(matrix: SparseMatrix) -> GeneratedSource:
-    """BCSR: folded block shape + segment-sum instead of ``np.add.at``.
-
-    Stored blocks are sorted by block row, so the per-block-row reduction
-    is a contiguous segment sum over the ``(n_blocks, r)`` partials — a
-    prefix-sum difference replaces the scatter the generic kernel pays.
-    """
-    r, c = (int(v) for v in matrix.block_shape)
-    n_blocks = int(matrix.n_blocks)
-    n_block_rows = int(matrix.n_block_rows)
-    pad_cols = -(-matrix.n_cols // c) * c
-    lines = [
-        "def spmv(matrix, x, aux):",
-        f"    # codegen: BCSR, {n_blocks} blocks of {r}x{c}, "
-        f"shape ({matrix.n_rows}, {matrix.n_cols})",
-    ]
-    if n_blocks == 0:
-        lines.append(
-            f"    return np.zeros({matrix.n_rows}, dtype=matrix.dtype)"
-        )
-        return GeneratedSource(FormatName.BCSR, "\n".join(lines) + "\n", ())
-    if pad_cols == matrix.n_cols:
-        lines.append(f"    x_blocks = x.reshape({pad_cols // c}, {c})")
-    else:
-        lines += [
-            f"    x_padded = np.zeros({pad_cols}, dtype=x.dtype)",
-            f"    x_padded[:{matrix.n_cols}] = x",
-            f"    x_blocks = x_padded.reshape({pad_cols // c}, {c})",
-        ]
-    lines += [
-        "    partial = np.einsum(",
-        "        'krc,kc->kr', matrix.blocks, x_blocks[matrix.block_cols]",
-        "    )",
-        f"    csum = np.empty(({n_blocks + 1}, {r}), dtype=partial.dtype)",
-        "    csum[0] = 0.0",
-        "    np.cumsum(partial, axis=0, out=csum[1:])",
-        "    ptr = matrix.block_ptr",
-        "    y_blocks = csum[ptr[1:]] - csum[ptr[:-1]]",
-        f"    return y_blocks.reshape({n_block_rows * r})[:{matrix.n_rows}]",
-    ]
-    return GeneratedSource(FormatName.BCSR, "\n".join(lines) + "\n", ())
-
-
-def _emit_hyb(matrix: SparseMatrix) -> GeneratedSource:
-    """HYB: slot-unrolled ELL part + one scattered COO tail.
-
-    The generic kernel dispatches two sub-kernels through the registry,
-    allocates two partial results, and reduces the ELL slab with a
-    2-D ``einsum`` whose dispatch cost dominates at the narrow widths the
-    HYB split actually produces (power-law matrices land at width 1-3).
-    Here the width is a structural constant, so each slot becomes one
-    explicit AXPY (``y += ell.data[s] * x[ell.indices[s]]``) and the COO
-    overflow folds into the same accumulator with a single ``np.add.at``
-    scatter.  Segment tricks (``reduceat`` over precomputed overflow
-    rows, ``bincount``) were measured and lose: the overflow tail of a
-    power-law matrix touches thousands of distinct rows, so the gather
-    index arithmetic costs more than the scatter it replaces.
-    """
-    ell = matrix.ell_part
-    coo = matrix.coo_part
-    width = int(ell.max_row_degree)
-    if width > MAX_ELL_SLOTS:
-        raise CodegenError(
-            f"HYB ELL part packs {width} slots per row; unroll ceiling "
-            f"is {MAX_ELL_SLOTS}"
-        )
-    coo_nnz = int(coo.nnz)
-    lines = [
-        "def spmv(matrix, x, aux):",
-        f"    # codegen: HYB, ELL width {width} + {coo_nnz} COO overflow "
-        f"entries, shape ({matrix.n_rows}, {matrix.n_cols})",
-        "    ell = matrix.ell_part",
-    ]
-    if width == 0:
-        lines.append(
-            f"    y = np.zeros({matrix.n_rows}, dtype=ell.data.dtype)"
-        )
-    else:
-        lines.append("    y = ell.data[0] * x[ell.indices[0]]")
-        for slot in range(1, width):
-            lines.append(
-                f"    y += ell.data[{slot}] * x[ell.indices[{slot}]]"
-            )
-    if coo_nnz:
-        lines += [
-            "    coo = matrix.coo_part",
-            "    np.add.at(y, coo.rows, coo.data * x[coo.cols])",
-        ]
-    lines.append("    return y")
-    return GeneratedSource(FormatName.HYB, "\n".join(lines) + "\n", ())
 
 
 def _emit_csr(matrix: SparseMatrix) -> GeneratedSource:
@@ -305,10 +177,7 @@ def _emit_csr(matrix: SparseMatrix) -> GeneratedSource:
 _EMITTERS: Dict[FormatName, Callable[[SparseMatrix], GeneratedSource]] = {
     FormatName.CSR: _emit_csr,
     FormatName.DIA: _emit_dia,
-    FormatName.BDIA: _emit_bdia,
     FormatName.ELL: _emit_ell,
-    FormatName.BCSR: _emit_bcsr,
-    FormatName.HYB: _emit_hyb,
 }
 
 #: Formats the codegen backend can specialize.

@@ -63,11 +63,6 @@ GATHER_MISS = {
     FormatName.COO: 0.55,
     FormatName.ELL: 0.30,
     FormatName.DIA: 0.10,
-    FormatName.BCSR: 0.40,
-    FormatName.HYB: 0.35,
-    FormatName.CSC: 0.20,   # x is read sequentially; Y takes the misses
-    FormatName.SKY: 0.12,   # dense profile windows stream like DIA
-    FormatName.BDIA: 0.08,  # banded streaming, one X window per band
 }
 
 #: SIMD efficiency of each format's inner loop (fraction of peak reachable
@@ -75,13 +70,8 @@ GATHER_MISS = {
 REGULARITY = {
     FormatName.DIA: 0.85,
     FormatName.ELL: 0.76,
-    FormatName.BCSR: 0.60,
-    FormatName.SKY: 0.65,
     FormatName.CSR: 0.45,
-    FormatName.HYB: 0.50,
     FormatName.COO: 0.38,
-    FormatName.CSC: 0.25,   # scatter-bound
-    FormatName.BDIA: 0.88,  # dense band slabs: the most SIMD-friendly sweep
 }
 
 #: Loop bookkeeping in cycles.
@@ -108,11 +98,6 @@ JITTER_AMPLITUDE = {
     FormatName.COO: 0.05,
     FormatName.DIA: 0.07,
     FormatName.ELL: 0.07,
-    FormatName.BCSR: 0.12,
-    FormatName.HYB: 0.10,
-    FormatName.CSC: 0.15,
-    FormatName.SKY: 0.08,
-    FormatName.BDIA: 0.06,
 }
 
 #: Cap on the slowdown attributed to row-partition load imbalance.
@@ -218,21 +203,6 @@ def _padded_size(fmt: FormatName, f: FeatureVector) -> float:
         return max(float(f.ndiags * f.m), float(f.nnz))
     if fmt is FormatName.ELL:
         return max(float(f.max_rd * f.m), float(f.nnz))
-    if fmt is FormatName.BCSR:
-        # Model a 2x2 blocking with ~55% typical block fill.
-        return float(f.nnz) / 0.55
-    if fmt is FormatName.HYB:
-        # The split keeps the ELL part ~90% dense; overflow goes to COO.
-        return float(f.nnz) * 1.1
-    if fmt is FormatName.SKY:
-        # The profile stores every slot between the first non-zero of each
-        # row and the diagonal; approximate its density from the band
-        # census: a fully "true"-diagonal band is ~half profile-covered.
-        profile_density = max(0.05, 0.5 * f.er_dia + 0.5 * f.ntdiags_ratio)
-        return max(float(f.nnz) / profile_density, float(f.nnz))
-    if fmt is FormatName.BDIA:
-        # Same padded slot count as DIA (gap-free banding adds no fill).
-        return max(float(f.ndiags * f.m), float(f.nnz))
     return float(f.nnz)
 
 
@@ -265,34 +235,11 @@ def _traffic(
         # Without row blocking Y streams once per (group of) diagonal(s).
         y_writes = 1.0 if blocked else min(float(max(f.ndiags, 1)), 4.0)
         y_bytes = f.m * b * y_writes
-    elif fmt is FormatName.ELL:
+    else:  # ELL
         matrix_bytes = padded * (b + idx)
         x_bytes = f.n * b if x_fits else padded * b * miss
         y_writes = 1.0 if blocked else min(float(max(f.max_rd, 1)), 4.0)
         y_bytes = f.m * b * y_writes
-    elif fmt is FormatName.BCSR:
-        n_blocks = padded / 4.0
-        matrix_bytes = padded * b + n_blocks * idx + (f.m / 2 + 1) * idx
-        x_bytes = f.n * b if x_fits else f.nnz * b * miss
-        y_bytes = f.m * b
-    elif fmt is FormatName.CSC:
-        matrix_bytes = f.nnz * (b + idx) + (f.n + 1) * idx
-        x_bytes = f.n * b  # sequential column sweep
-        # Y is the scatter target: read-modify-write per element.
-        y_fits = f.m * b <= arch.llc_bytes() // 2
-        y_bytes = f.m * b if y_fits else 2.0 * f.nnz * b * miss
-    elif fmt is FormatName.SKY:
-        matrix_bytes = padded * b + (f.m + 1) * idx
-        x_bytes = f.n * b if x_fits else padded * b * miss
-        y_bytes = f.m * b
-    elif fmt is FormatName.BDIA:
-        matrix_bytes = padded * b
-        x_bytes = f.n * b if x_fits else padded * b * miss
-        y_bytes = f.m * b  # whole bands write Y once
-    else:  # HYB
-        matrix_bytes = padded * (b + idx)
-        x_bytes = f.n * b if x_fits else f.nnz * b * miss
-        y_bytes = f.m * b * 1.5
     return float(matrix_bytes), float(x_bytes), float(y_bytes)
 
 
@@ -307,18 +254,7 @@ def _loop_overhead(
     if fmt is FormatName.DIA:
         per_diag = DIAG_LOOP_CYCLES * (0.5 if unrolled else 1.0)
         return f.ndiags * per_diag
-    if fmt is FormatName.ELL:
-        return f.max_rd * SLOT_LOOP_CYCLES
-    if fmt is FormatName.BCSR:
-        return (f.m / 2.0) * ROW_LOOP_CYCLES
-    if fmt is FormatName.CSC:
-        return f.n * ROW_LOOP_CYCLES + f.nnz * SCATTER_CYCLES
-    if fmt is FormatName.SKY:
-        return f.m * ROW_LOOP_CYCLES * 0.6  # no index decode in the profile
-    if fmt is FormatName.BDIA:
-        # Per-band setup amortised over ~3 diagonals per band typically.
-        return (f.ndiags / 3.0) * DIAG_LOOP_CYCLES
-    return f.m * ROW_LOOP_CYCLES * 0.5  # HYB: ELL sweep + short COO tail
+    return f.max_rd * SLOT_LOOP_CYCLES  # ELL
 
 
 def _imbalance(fmt: FormatName, f: FeatureVector, parallel: bool) -> float:

@@ -205,7 +205,7 @@ class Plan:
         """Run the plan on a column-stacked RHS block ``(n_cols, k)``.
 
         Formats with a native multi-RHS kernel make one pass over the
-        converted operand; everything else (HYB/BCSR/..., and degraded
+        converted operand; everything else (COO, and degraded
         plans) runs the plan's own kernel column by column — same
         results, no amortisation.
         """

@@ -39,19 +39,12 @@ class Precision(enum.Enum):
 
 
 class FormatName(enum.Enum):
-    """The four basic storage formats of the paper (Section 2.1) plus the
-    extension formats used to demonstrate SMAT's extensibility (Section 3).
-    """
+    """The four basic storage formats of the paper (Section 2.1)."""
 
     CSR = "CSR"
     COO = "COO"
     DIA = "DIA"
     ELL = "ELL"
-    BCSR = "BCSR"
-    HYB = "HYB"
-    CSC = "CSC"
-    SKY = "SKY"
-    BDIA = "BDIA"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -20,9 +20,8 @@ A failing case prints the full generated source (the synthetic
 ``<repro-codegen:HASH>`` module), and the seed is in the test ID
 (``test_...[137]``) so replaying it is one pytest invocation.
 
-The only tolerated refusals are structural: a conversion that is
-impossible without a fill budget (BDIA with zero nnz), or a matrix whose
-structure exceeds a template's unroll envelope (``MAX_DIAGS`` diagonals,
+The only tolerated refusal is structural: a matrix whose structure
+exceeds a template's unroll envelope (``MAX_DIAGS`` diagonals,
 ``MAX_ELL_SLOTS`` slots, ``MAX_DEGREE_BUCKETS`` distinct degrees) — the
 serving policy keeps the generic kernel for those, so the sweep skips
 them the same way.
@@ -34,14 +33,13 @@ import numpy as np
 import pytest
 
 from repro.collection import banded, blocks, graphs, grids, random_sparse
-from repro.errors import CodegenError, ConversionError
+from repro.errors import CodegenError
 from repro.formats.convert import convert
 from repro.formats.csr import CSRMatrix
 from repro.kernels.base import find_kernel
 from repro.kernels.codegen import generate_kernel
 from repro.kernels.strategies import Strategy, strategy_set
 from repro.kernels.templates import CODEGEN_FORMATS
-from repro.types import FormatName
 
 #: Number of generated matrices in the sweep (the acceptance floor is 200).
 N_SEEDS = 200
@@ -129,15 +127,8 @@ def assert_generated_kernels_agree(
     covered = 0
 
     for target in CODEGEN_FORMATS:
-        try:
-            converted, _ = convert(csr, target, fill_budget=None)
-        except ConversionError:
-            # Only structural impossibility is acceptable with the fill
-            # budget disabled (banded-DIA needs an occupied diagonal).
-            assert target is FormatName.BDIA and csr.nnz == 0, (
-                f"unexpected refusal converting to {target.value}"
-            )
-            continue
+        # The fill budget is disabled, so no target may refuse.
+        converted, _ = convert(csr, target, fill_budget=None)
         try:
             generated = generate_kernel(converted)
         except CodegenError as exc:

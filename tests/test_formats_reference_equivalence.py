@@ -18,14 +18,7 @@ import pytest
 from repro.collection import banded, graphs, random_sparse
 from repro.features.extract import extract_structure_features
 from repro.formats import reference
-from repro.formats.convert import (
-    csr_to_bcsr,
-    csr_to_dia,
-    csr_to_ell,
-    csr_to_hyb,
-    csr_to_sky,
-    sky_to_csr,
-)
+from repro.formats.convert import csr_to_dia, csr_to_ell
 from repro.formats.csr import CSRMatrix
 
 
@@ -133,77 +126,9 @@ def test_dia_matches_loop(name, matrix) -> None:
 @pytest.mark.parametrize(
     "name,matrix", CORPUS, ids=[name for name, _ in CORPUS]
 )
-def test_bcsr_matches_loop(name, matrix) -> None:
-    vec, vec_cost = csr_to_bcsr(matrix, fill_budget=None)
-    loop, loop_cost = reference.csr_to_bcsr_loop(matrix, fill_budget=None)
-    assert np.array_equal(vec.block_ptr, loop.block_ptr)
-    assert np.array_equal(vec.block_cols, loop.block_cols)
-    assert np.array_equal(vec.blocks, loop.blocks)
-    assert vec.block_shape == loop.block_shape
-    _assert_cost_equal(vec_cost, loop_cost, name)
-
-
-@pytest.mark.parametrize(
-    "name,matrix",
-    [(n, m) for n, m in CORPUS if m.n_rows == m.n_cols],
-    ids=[n for n, m in CORPUS if m.n_rows == m.n_cols],
-)
-def test_sky_roundtrip_matches_loop(name, matrix) -> None:
-    vec, vec_cost = csr_to_sky(matrix, fill_budget=None)
-    loop, loop_cost = reference.csr_to_sky_loop(matrix, fill_budget=None)
-    assert np.array_equal(vec.pointers, loop.pointers)
-    assert np.array_equal(vec.profile, loop.profile)
-    assert (vec.upper is None) == (loop.upper is None)
-    if vec.upper is not None:
-        assert np.array_equal(vec.upper.ptr, loop.upper.ptr)
-        assert np.array_equal(vec.upper.indices, loop.upper.indices)
-        assert np.array_equal(vec.upper.data, loop.upper.data)
-    _assert_cost_equal(vec_cost, loop_cost, name)
-
-    back_vec, back_vec_cost = sky_to_csr(vec)
-    back_loop, back_loop_cost = reference.sky_to_csr_loop(loop)
-    assert np.array_equal(back_vec.ptr, back_loop.ptr)
-    assert np.array_equal(back_vec.indices, back_loop.indices)
-    assert np.array_equal(back_vec.data, back_loop.data)
-    _assert_cost_equal(back_vec_cost, back_loop_cost, name)
-
-
-@pytest.mark.parametrize(
-    "name,matrix", CORPUS, ids=[name for name, _ in CORPUS]
-)
-def test_hyb_matches_loop(name, matrix) -> None:
-    vec, vec_cost = csr_to_hyb(matrix)
-    loop, loop_cost = reference.csr_to_hyb_loop(matrix)
-    assert vec.ell_part.max_row_degree == loop.ell_part.max_row_degree
-    assert np.array_equal(vec.ell_part.indices, loop.ell_part.indices)
-    assert np.array_equal(vec.ell_part.data, loop.ell_part.data)
-    assert np.array_equal(vec.coo_part.rows, loop.coo_part.rows)
-    assert np.array_equal(vec.coo_part.cols, loop.coo_part.cols)
-    assert np.array_equal(vec.coo_part.data, loop.coo_part.data)
-    _assert_cost_equal(vec_cost, loop_cost, name)
-
-
-@pytest.mark.parametrize(
-    "name,matrix", CORPUS, ids=[name for name, _ in CORPUS]
-)
 def test_structure_features_match_loop(name, matrix) -> None:
     vec = extract_structure_features(matrix)
     loop = reference.extract_structure_features_loop(matrix)
     assert set(vec) == set(loop), name
     for key in vec:
         assert vec[key] == pytest.approx(loop[key], abs=0.0), (name, key)
-
-
-def test_hyb_all_empty_rows_regression() -> None:
-    """Satellite: the 67th-percentile width heuristic on a matrix with no
-    stored entries must not warn or produce NaN (np.percentile on an empty
-    degrees array did, before the guard)."""
-    matrix = CSRMatrix.from_dense(np.zeros((16, 16)))
-    with np.errstate(all="raise"):
-        hyb, cost = csr_to_hyb(matrix, ell_width=None)
-    assert hyb.ell_part.max_row_degree == 0
-    assert hyb.coo_part.nnz == 0
-    assert cost.nnz == 0
-    loop, loop_cost = reference.csr_to_hyb_loop(matrix, ell_width=None)
-    assert loop.ell_part.max_row_degree == 0
-    assert cost.touched_slots == loop_cost.touched_slots

@@ -78,9 +78,13 @@ class TestEvaluate:
         assert "precision" in text and "CSR" in text
 
     def test_unknown_class_lookup(self, dataset) -> None:
-        report = evaluate(threshold_predictor, dataset)
+        report = evaluate(
+            threshold_predictor,
+            dataset,
+            classes=(FormatName.CSR, FormatName.COO),
+        )
         with pytest.raises(KeyError):
-            report.metrics_for(FormatName.BCSR)
+            report.metrics_for(FormatName.DIA)
 
     def test_empty_dataset(self) -> None:
         report = evaluate(broken_predictor, TrainingDataset(()))

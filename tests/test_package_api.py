@@ -64,21 +64,3 @@ class TestTopLevelApi:
         assert Precision.from_dtype("float32") is Precision.SINGLE
         with pytest.raises(ValueError, match="dtype"):
             Precision.from_dtype("int32")
-
-    def test_format_registry_covers_all_formats(self) -> None:
-        from repro.formats import resolve_format
-        from repro.types import FormatName
-
-        for fmt in FormatName:
-            assert resolve_format(fmt).format_name is fmt
-
-    def test_unregistered_lookup_fails_cleanly(self) -> None:
-        from repro.formats.base import _FORMAT_REGISTRY, resolve_format
-        from repro.types import FormatName
-
-        removed = _FORMAT_REGISTRY.pop(FormatName.HYB)
-        try:
-            with pytest.raises(FormatError, match="no format"):
-                resolve_format(FormatName.HYB)
-        finally:
-            _FORMAT_REGISTRY[FormatName.HYB] = removed

@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from repro.collection import banded, blocks, graphs, grids, random_sparse
-from repro.errors import ConversionError
 from repro.formats.convert import convert
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
@@ -42,11 +41,6 @@ ALL_TARGETS = (
     FormatName.COO,
     FormatName.DIA,
     FormatName.ELL,
-    FormatName.BCSR,
-    FormatName.HYB,
-    FormatName.CSC,
-    FormatName.SKY,
-    FormatName.BDIA,
 )
 
 
@@ -132,19 +126,8 @@ def assert_formats_agree(csr: CSRMatrix, rng: np.random.Generator) -> None:
     assert np.array_equal(csr.spmv(x), y_ref)
 
     for target in ALL_TARGETS:
-        try:
-            converted, _ = convert(csr, target, fill_budget=None)
-        except ConversionError:
-            # Only structural impossibility is acceptable — skyline
-            # requires square, banded-DIA needs at least one occupied
-            # diagonal; the fill budget is disabled.
-            structurally_impossible = (
-                target is FormatName.SKY and csr.n_rows != csr.n_cols
-            ) or (target is FormatName.BDIA and csr.nnz == 0)
-            assert structurally_impossible, (
-                f"unexpected refusal converting to {target.value}"
-            )
-            continue
+        # The fill budget is disabled, so no target may refuse.
+        converted, _ = convert(csr, target, fill_budget=None)
         y = converted.spmv(x)
         assert y.dtype == y_ref.dtype
         assert np.array_equal(y, y_ref), (

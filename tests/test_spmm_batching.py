@@ -60,8 +60,8 @@ class TestKernels:
         assert supports_spmm(FormatName.CSR)
         assert supports_spmm(FormatName.ELL)
         assert supports_spmm(FormatName.DIA)
-        assert not supports_spmm(FormatName.HYB)
-        assert spmm_kernel_for(FormatName.HYB) is None
+        assert not supports_spmm(FormatName.COO)
+        assert spmm_kernel_for(FormatName.COO) is None
         for name in spmm_formats():
             assert callable(spmm_kernel_for(name))
 

@@ -35,7 +35,7 @@ from tests.test_properties_differential import (
 )
 
 NATIVE = ("CSR", "ELL", "DIA")
-NON_NATIVE = ("COO", "HYB")
+NON_NATIVE = ("COO",)
 WIDTHS = (2, 4, 8, 32)
 
 
